@@ -124,6 +124,11 @@ pub struct Simulation<P: Policy> {
     /// Alive (hosted or migrating) VMs — the set a demand update
     /// iterates, instead of every VM ever spawned.
     alive_vms: SortedIdSet,
+    /// Demand-update scratch, all `false` and empty between sweeps:
+    /// per-server "load changed this sweep" flags and the ids they
+    /// mark, kept across sweeps so a sweep allocates nothing.
+    demand_dirty: Vec<bool>,
+    demand_dirty_ids: Vec<u32>,
     /// Per-server: time of the last monitor tick, the phase anchor a
     /// parked monitor chain resumes from after a wake-up.
     monitor_anchor: Vec<f64>,
@@ -218,6 +223,8 @@ impl<P: Policy> Simulation<P> {
             overload_accrued_to: vec![0.0; n_servers],
             overload_active: SortedIdSet::new(),
             alive_vms: SortedIdSet::new(),
+            demand_dirty: vec![false; n_servers],
+            demand_dirty_ids: Vec::new(),
             monitor_anchor: vec![0.0; n_servers],
             monitor_scheduled: vec![false; n_servers],
             fault_rng,
@@ -915,10 +922,11 @@ impl<P: Policy> Simulation<P> {
         // Only alive VMs are visited, and only servers whose hosted
         // demand actually changed are reconciled: a server's overload
         // status cannot flip unless its load moved, so reconciling the
-        // rest would be a pure no-op scan.
-        let alive: Vec<u32> = self.alive_vms.iter().collect();
-        let mut dirty: Vec<u32> = Vec::new();
-        for vm_id in alive {
+        // rest would be a pure no-op scan. Each changed host is listed
+        // once (its flag dedups), so the sort below covers at most the
+        // powered servers, not every changed VM.
+        let mut dirty = std::mem::take(&mut self.demand_dirty_ids);
+        for &vm_id in self.alive_vms.as_slice() {
             let vm_idx = vm_id as usize;
             let trace_idx = self.cluster.vms[vm_idx].trace_idx;
             let new_demand = self.trace_demand_mhz(trace_idx, self.now);
@@ -926,15 +934,20 @@ impl<P: Policy> Simulation<P> {
                 continue;
             }
             if let Some(host) = self.cluster.update_vm_demand(VmId(vm_id), new_demand) {
-                dirty.push(host.0);
+                if !self.demand_dirty[host.index()] {
+                    self.demand_dirty[host.index()] = true;
+                    dirty.push(host.0);
+                }
             }
         }
         // Ascending order matches the full scan's log/event sequence.
         dirty.sort_unstable();
-        dirty.dedup();
-        for id in dirty {
+        for &id in &dirty {
+            self.demand_dirty[id as usize] = false;
             self.reconcile_overload(ServerId(id));
         }
+        dirty.clear();
+        self.demand_dirty_ids = dirty;
         self.refresh_power();
         let next = self.now + step as f64;
         if next <= self.config.duration_secs {

@@ -1,10 +1,14 @@
 //! The event calendar.
 //!
-//! A bucketed calendar queue over `(time, sequence)` keys (Brown 1988),
-//! sized for the simulator's natural cadences: the 5-minute
-//! DemandUpdate / MonitorTick chains land in O(1) buckets, while
-//! far-future events (departures, repairs, hibernate checks) wait in an
-//! overflow heap until the wheel window reaches them. The monotone
+//! A bucketed calendar queue over `(time, sequence)` keys (Brown 1988)
+//! that sizes itself from the traffic it carries. It keeps a log2
+//! histogram of push horizons and, once per window of pushes, sets the
+//! wheel's span to the p95 horizon (a power of two) and its bucket
+//! count to the events pending inside that span. In an ecoCloud run
+//! the 5 s MonitorTick chains carry nearly all events, so the wheel
+//! settles on an 8 s span with 256–512 buckets, while
+//! everything later (demand and metrics sweeps, departures, repairs)
+//! waits in an overflow heap until the window reaches it. The monotone
 //! sequence number makes simultaneous events fire in insertion order,
 //! which — together with seeded RNGs — makes every run exactly
 //! reproducible.
@@ -12,10 +16,12 @@
 //! Pop order is *identical* to the plain binary-heap calendar this
 //! replaced: each pop selects the `(time, seq)` minimum of the cursor
 //! bucket (the same total order the heap used), bucket membership
-//! partitions events by time, and the overflow heap only ever holds
-//! events later than everything in the wheel. The old heap survives as
-//! [`EventQueue::reference_heap`], both as the oracle for the
-//! equivalence proptests below and as a whole-engine cross-check
+//! partitions events by time, and every overflow event inside the
+//! window moves into the wheel before a pop selects a bucket. The
+//! geometry only decides where an event is stored, never which event
+//! pops next, so retunes cannot change the order. The old heap
+//! survives as [`EventQueue::reference_heap`], both as the oracle for
+//! the equivalence proptests below and as a whole-engine cross-check
 //! (`SimConfig::reference_event_queue`). See `DESIGN.md` §14 for the
 //! full determinism argument.
 
@@ -205,23 +211,41 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The wheel always spans this many simulated seconds, regardless of
-/// bucket count: twice the 5-minute cadence that dominates the event
-/// population, so a self-rescheduling chain re-enters the wheel
-/// directly instead of bouncing through the overflow heap.
-const WHEEL_SPAN_SECS: f64 = 600.0;
-/// Bucket-count bounds (powers of two). The wheel grows once the event
-/// population exceeds [`GROW_LOAD_FACTOR`] events per bucket.
+/// Bucket-count bounds (powers of two). Between retunes the wheel
+/// doubles once its population exceeds [`GROW_LOAD_FACTOR`] events per
+/// bucket — the fast reaction to a burst.
 const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 21;
 const GROW_LOAD_FACTOR: usize = 2;
+
+/// The wheel's span is a measured power of two, `2^span_exp` seconds,
+/// with `span_exp` in `MIN_SPAN_EXP..=MAX_SPAN_EXP` (≈16 ms to ≈194
+/// days). The floor bounds the bucket width at `2^-27` s, so
+/// `bucket_of` cannot saturate below ~4,000 simulated years.
+const MIN_SPAN_EXP: i32 = -6;
+const MAX_SPAN_EXP: i32 = 24;
+/// Span of a fresh or restored queue until its first retune.
+const INITIAL_SPAN_EXP: i32 = 9;
+/// Pushes per retune window. Retuning costs O(1) while the measured
+/// span holds, and O(pending) when it moves.
+const RETUNE_WINDOW: u32 = 1 << 13;
+/// The span covers this percentile of push horizons. Not p99: on the
+/// 5k-server 48 h run migration completions make up ~1 % of pushes at
+/// 8–16 s, so p99 flips the span between 8 s and 16 s on most
+/// windows; p95 settles on 8 s.
+const SPAN_QUANTILE_PCT: u32 = 95;
+/// Log2 histogram bins of push horizons: bin `k` counts horizons in
+/// `[2^(k-1+MIN_SPAN_EXP), 2^(k+MIN_SPAN_EXP))` (bin 0 everything
+/// shorter, the last bin everything longer).
+const HORIZON_BINS: usize = (MAX_SPAN_EXP - MIN_SPAN_EXP + 1) as usize;
 
 /// Inline event slots per wheel bucket: four 32-byte `Scheduled`
 /// entries make a bucket's storage exactly two cache lines with no
 /// header. Occupancy lives in the dense `lens` side array instead, so
 /// a push never loads the (cold) bucket line it stores into, and the
-/// growth policy holds mean occupancy at or below [`GROW_LOAD_FACTOR`]
-/// so a pop's min-scan rarely reads past the first line.
+/// retunes hold mean occupancy at or below one (grow-on-load caps it
+/// at [`GROW_LOAD_FACTOR`] between them) so a pop's min-scan rarely
+/// reads past the first line.
 const SLOT_CAP: usize = 4;
 
 /// Placeholder filling unused inline slots (never observed: `lens`
@@ -280,7 +304,9 @@ struct Calendar {
     /// only multi-event buckets fall back to exact counts.
     multi: Vec<u64>,
     /// Wheel-resident events that did not fit their bucket's inline
-    /// slots (rare: growth bounds mean occupancy). Globally
+    /// slots (rare once the geometry is measured: retunes hold mean
+    /// occupancy at or below one, so what spills is mostly bursts of
+    /// simultaneous events such as the t = 0 spawns). Globally
     /// `(time, seq)`-ordered. Two invariants make the merge at pop
     /// exact: bucket index is monotone in time, so the heap's top
     /// always belongs to the earliest un-drained spill bucket; and the
@@ -292,7 +318,10 @@ struct Calendar {
     wheel_spill: BinaryHeap<Scheduled>,
     /// `n_buckets - 1`; bucket count is always a power of two.
     mask: usize,
-    /// Seconds per bucket (`WHEEL_SPAN_SECS / n_buckets`).
+    /// The wheel spans `2^span_exp` seconds (see [`Calendar::retune`]).
+    span_exp: i32,
+    /// Seconds per bucket (`2^span_exp / n_buckets`, a power of two,
+    /// so every rebuild maps the cursor time exactly).
     width: f64,
     /// `1.0 / width`, so the hot `bucket_of` map is a multiply instead
     /// of a serial-latency divide. The map only has to be monotone in
@@ -306,28 +335,50 @@ struct Calendar {
     base: u64,
     /// Events currently stored in the wheel (inline or spilled).
     in_wheel: usize,
-    /// Events at absolute bucket `>= base + n_buckets`, i.e. beyond the
-    /// wheel's current window. Strictly later than everything in the
-    /// wheel; migrated in as the cursor advances.
+    /// Events filed at absolute bucket `>= base + n_buckets`, i.e.
+    /// beyond the wheel's window; migrated in as the cursor advances.
+    /// A retune that widens the window may leave events here that now
+    /// fall inside it; the `migrate_due` at the start of the next pop
+    /// moves them in before any bucket is selected.
     overflow: BinaryHeap<Scheduled>,
+    /// Time of the last pop: the origin push horizons are measured from.
+    now: f64,
+    /// Whether anything has been popped yet.
+    popped: bool,
+    /// Log2 histogram of push horizons (`t - now`) in the current
+    /// retune window.
+    horizons: [u32; HORIZON_BINS],
+    /// Pushes left in the current retune window.
+    until_retune: u32,
+}
+
+/// `2^exp` as an `f64` (exact for every exponent in use).
+fn pow2(exp: i32) -> f64 {
+    f64::from_bits(((1023 + exp) as u64) << 52)
 }
 
 impl Calendar {
-    fn new(n_buckets: usize, overflow_capacity: usize) -> Self {
-        debug_assert!(n_buckets.is_power_of_two());
-        Calendar {
-            lens: vec![0u8; n_buckets],
-            slots: vec![[VACANT; SLOT_CAP]; n_buckets],
-            live: vec![0u64; n_buckets.div_ceil(64)],
-            multi: vec![0u64; n_buckets.div_ceil(64)],
+    fn new(overflow_capacity: usize) -> Self {
+        let mut c = Calendar {
+            lens: Vec::new(),
+            slots: Vec::new(),
+            live: Vec::new(),
+            multi: Vec::new(),
             wheel_spill: BinaryHeap::new(),
-            mask: n_buckets - 1,
-            width: WHEEL_SPAN_SECS / n_buckets as f64,
-            inv_width: n_buckets as f64 / WHEEL_SPAN_SECS,
+            mask: 0,
+            span_exp: INITIAL_SPAN_EXP,
+            width: 0.0,
+            inv_width: 0.0,
             base: 0,
             in_wheel: 0,
             overflow: BinaryHeap::with_capacity(overflow_capacity),
-        }
+            now: 0.0,
+            popped: false,
+            horizons: [0; HORIZON_BINS],
+            until_retune: RETUNE_WINDOW,
+        };
+        c.rebuild(MIN_BUCKETS, INITIAL_SPAN_EXP);
+        c
     }
 
     #[inline]
@@ -393,6 +444,72 @@ impl Calendar {
             self.overflow.push(s);
         } else {
             self.wheel_push(b, s);
+        }
+    }
+
+    /// A scheduling push: records the event's horizon, inserts it, and
+    /// retunes the geometry at the end of each window. Pushes before
+    /// the first pop load the queue rather than run it (an open-system
+    /// run schedules every arrival up front), so they have no horizon
+    /// and only grow-on-load sizes the wheel for them.
+    #[inline]
+    fn push(&mut self, s: Scheduled) {
+        self.insert(s);
+        if !self.popped {
+            return;
+        }
+        // The biased exponent of `h` picks the log2 bin; `max` folds
+        // zero and (release-build) negative horizons into bin 0.
+        let h = (s.t_secs - self.now).max(0.0);
+        let bin =
+            ((h.to_bits() >> 52) as i32 - (1022 + MIN_SPAN_EXP)).clamp(0, HORIZON_BINS as i32 - 1);
+        self.horizons[bin as usize] += 1;
+        self.until_retune -= 1;
+        if self.until_retune == 0 {
+            self.retune();
+        }
+    }
+
+    /// Re-derives the geometry from the window's traffic: the span is
+    /// the [`SPAN_QUANTILE_PCT`] push horizon rounded up to a power of
+    /// two, so the chains that carry the traffic re-enter the wheel
+    /// directly, and the bucket count is the next power of two of the
+    /// events pending inside that span, so mean occupancy over the
+    /// span stays at or below one and the ring shrinks again after a
+    /// burst drains. Geometry never enters the `(t, seq)` order, so a
+    /// retune cannot change what pops next.
+    #[cold]
+    #[inline(never)]
+    fn retune(&mut self) {
+        let target = RETUNE_WINDOW * SPAN_QUANTILE_PCT / 100;
+        let mut seen = 0;
+        let mut bin = HORIZON_BINS - 1;
+        for (k, &count) in self.horizons.iter().enumerate() {
+            seen += count;
+            if seen >= target {
+                bin = k;
+                break;
+            }
+        }
+        self.horizons = [0; HORIZON_BINS];
+        self.until_retune = RETUNE_WINDOW;
+        let span_exp = bin as i32 + MIN_SPAN_EXP;
+        let resident = if span_exp == self.span_exp {
+            // The wheel is exactly the pending set inside the span.
+            self.in_wheel
+        } else {
+            let end = self.base as f64 * self.width + pow2(span_exp);
+            let inside = |s: &&Scheduled| s.t_secs < end;
+            let inline = self.lens.iter().enumerate();
+            inline
+                .map(|(slot, &n)| self.slots[slot][..n as usize].iter().filter(inside).count())
+                .sum::<usize>()
+                + self.wheel_spill.iter().filter(inside).count()
+                + self.overflow.iter().filter(inside).count()
+        };
+        let n = resident.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        if (n, span_exp) != (self.n_buckets(), self.span_exp) {
+            self.rebuild(n, span_exp);
         }
     }
 
@@ -495,6 +612,8 @@ impl Calendar {
                 prefetch(&self.lens[next]);
                 prefetch(&self.slots[next]);
             }
+            self.now = s.t_secs;
+            self.popped = true;
             return Some(s);
         }
     }
@@ -529,26 +648,40 @@ impl Calendar {
         best.map(|(t, _)| t)
     }
 
-    /// Doubles the bucket count and redistributes every event under the
-    /// halved bucket width. Deterministic: membership depends only on
-    /// `(t, width, base)`, which are identical across replays.
+    /// Doubles the bucket count under the same span (grow-on-load).
     fn grow(&mut self) {
-        let n_new = self.n_buckets() * 2;
+        debug_assert!(self.n_buckets() * 2 <= MAX_BUCKETS);
+        self.rebuild(self.n_buckets() * 2, self.span_exp);
+    }
+
+    /// Re-lays the wheel out as `n_new` buckets over `2^span_exp`
+    /// seconds from the current cursor time. Wheel events beyond the
+    /// new window move to the overflow heap; overflow events inside a
+    /// widened window stay put until the next pop's `migrate_due`.
+    /// Deterministic: membership depends only on `(t, width, base)`,
+    /// which are identical across replays.
+    fn rebuild(&mut self, n_new: usize, span_exp: i32) {
+        debug_assert!(n_new.is_power_of_two() && (MIN_BUCKETS..=MAX_BUCKETS).contains(&n_new));
         let cursor_time = self.base as f64 * self.width;
-        debug_assert!(n_new <= MAX_BUCKETS);
-        let mut pending: Vec<Scheduled> = Vec::with_capacity(self.in_wheel + self.overflow.len());
+        let mut pending: Vec<Scheduled> = Vec::with_capacity(self.in_wheel);
         for (slot, &n) in self.lens.iter().enumerate() {
             pending.extend_from_slice(&self.slots[slot][..n as usize]);
         }
         pending.extend(std::mem::take(&mut self.wheel_spill).into_vec());
-        pending.extend(std::mem::take(&mut self.overflow).into_vec());
-        self.lens = vec![0u8; n_new];
-        self.slots = vec![[VACANT; SLOT_CAP]; n_new];
-        self.live = vec![0u64; n_new.div_ceil(64)];
-        self.multi = vec![0u64; n_new.div_ceil(64)];
+        if n_new == self.n_buckets() {
+            self.lens.fill(0);
+            self.live.fill(0);
+            self.multi.fill(0);
+        } else {
+            self.lens = vec![0u8; n_new];
+            self.slots = vec![[VACANT; SLOT_CAP]; n_new];
+            self.live = vec![0u64; n_new.div_ceil(64)];
+            self.multi = vec![0u64; n_new.div_ceil(64)];
+        }
         self.mask = n_new - 1;
-        self.width = WHEEL_SPAN_SECS / n_new as f64;
-        self.inv_width = n_new as f64 / WHEEL_SPAN_SECS;
+        self.span_exp = span_exp;
+        self.width = pow2(span_exp) / n_new as f64;
+        self.inv_width = n_new as f64 / pow2(span_exp);
         self.base = (cursor_time * self.inv_width) as u64;
         self.in_wheel = 0;
         for s in pending {
@@ -594,13 +727,14 @@ impl EventQueue {
     /// The hint sizes the *overflow* heap: in a long simulation the
     /// bulk of the pending population is far-future departures and
     /// repairs that sit beyond the wheel's window. The wheel itself
-    /// starts at `MIN_BUCKETS` and doubles adaptively as the
-    /// *wheel-resident* count grows — sizing it from the total would
-    /// spread a handful of near-term events over a huge ring and turn
-    /// every pop into a long empty-bucket scan.
+    /// starts at `MIN_BUCKETS` over `2^INITIAL_SPAN_EXP` seconds,
+    /// doubles while a burst outgrows it, and from the first retune
+    /// on takes its span and bucket count from the measured traffic —
+    /// in both directions, so the ring the 5k-server t = 0 burst grows
+    /// to 8,192 buckets shrinks back to 256–512 once the burst drains.
     pub fn with_capacity(hint: usize) -> Self {
         EventQueue {
-            impl_: QueueImpl::Calendar(Calendar::new(MIN_BUCKETS, hint)),
+            impl_: QueueImpl::Calendar(Calendar::new(hint)),
             len: 0,
             next_seq: 0,
             now_floor: 0.0,
@@ -634,7 +768,7 @@ impl EventQueue {
         self.len += 1;
         let s = Scheduled { t_secs, seq, event };
         match &mut self.impl_ {
-            QueueImpl::Calendar(c) => c.insert(s),
+            QueueImpl::Calendar(c) => c.push(s),
             QueueImpl::Heap(h) => h.push(s),
         }
     }
@@ -763,7 +897,8 @@ impl EventQueue {
     /// reorder simultaneous events). Pop order depends only on the
     /// `(time, seq)` total order — proven pop-for-pop identical to the
     /// reference heap — so the rebuilt wheel's cursor starting at zero
-    /// instead of the original's advanced position is invisible.
+    /// instead of the original's advanced position, and its default
+    /// geometry until the first retune, are invisible.
     pub(crate) fn restore_parts(
         entries: &[(f64, u64, Event)],
         next_seq: u64,
@@ -944,9 +1079,9 @@ mod tests {
 
     #[test]
     fn events_exactly_on_bucket_edges_pop_in_order() {
-        // Bucket width divides WHEEL_SPAN_SECS exactly, so integer
-        // multiples of it land exactly on bucket boundaries.
-        let width = WHEEL_SPAN_SECS / MIN_BUCKETS as f64;
+        // A fresh queue's bucket width divides its span exactly, so
+        // integer multiples of it land exactly on bucket boundaries.
+        let width = pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64;
         let mut q = EventQueue::new();
         for i in (0..40).rev() {
             q.schedule(i as f64 * width, Event::Spawn(i));
@@ -1080,7 +1215,7 @@ mod tests {
         let mut q = EventQueue::new();
         for i in 0..3 * SLOT_CAP {
             q.schedule(2.5, Event::Spawn(i));
-            q.schedule(2.5 + WHEEL_SPAN_SECS / MIN_BUCKETS as f64, Event::Spawn(1000 + i));
+            q.schedule(2.5 + pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64, Event::Spawn(1000 + i));
         }
         assert_snapshot_roundtrips(q);
     }
@@ -1230,5 +1365,177 @@ mod tests {
                 heap.schedule_chain(t + 300.0, e);
             }
         }
+    }
+
+    /// `(n_buckets, span_exp)` of a calendar-backed queue.
+    fn geometry(q: &EventQueue) -> (usize, i32) {
+        match &q.impl_ {
+            QueueImpl::Calendar(c) => (c.n_buckets(), c.span_exp),
+            QueueImpl::Heap(_) => unreachable!("calendar expected"),
+        }
+    }
+
+    fn calendar(q: &EventQueue) -> &Calendar {
+        match &q.impl_ {
+            QueueImpl::Calendar(c) => c,
+            QueueImpl::Heap(_) => unreachable!("calendar expected"),
+        }
+    }
+
+    /// Schedules `n` monitor chains with the engine's stagger: offsets
+    /// evenly spread over one `period`.
+    fn staggered_ticks(q: &mut EventQueue, n: u32, period: f64) {
+        for i in 0..n {
+            let t = period * (i + 1) as f64 / n as f64;
+            q.schedule(t, Event::MonitorTick(ServerId(i)));
+        }
+    }
+
+    /// The engine's traffic shape as a state machine over the popped
+    /// event: 5 s tick chains that occasionally start a migration,
+    /// 300 s and 1800 s sweeps, spawns that park a far-future
+    /// departure. Returns the `(time, event, chain)` pushes to make,
+    /// so several queues can be driven in lockstep.
+    fn engine_step(rng: &mut StdRng, t: f64, e: Event) -> Vec<(f64, Event, bool)> {
+        let mut out = Vec::new();
+        match e {
+            Event::MonitorTick(s) => {
+                out.push((t + 5.0, e, true));
+                if rng.gen_bool(0.02) {
+                    let done = t + rng.gen_range(8.0f64..30.0);
+                    out.push((done, Event::MigrationComplete(VmId(s.0), 0), false));
+                }
+            }
+            Event::DemandUpdate => out.push((t + 300.0, e, true)),
+            Event::MetricsSample => out.push((t + 1800.0, e, true)),
+            Event::Spawn(i) => {
+                let leave = t + rng.gen_range(7200.0f64..172_800.0);
+                out.push((leave, Event::Departure(VmId(i as u32)), false));
+            }
+            _ => {}
+        }
+        out
+    }
+
+    fn apply(q: &mut EventQueue, t: f64, pushes: &[(f64, Event, bool)]) {
+        q.advance_to(t);
+        for &(at, e, chain) in pushes {
+            if chain {
+                q.schedule_chain(at, e);
+            } else {
+                q.schedule(at, e);
+            }
+        }
+    }
+
+    /// Pop-for-pop identity with the reference heap on engine-shaped
+    /// traffic — a t = 0 spawn burst, a few hundred staggered 5 s
+    /// chains, 300 s and 1800 s chains, far-future standing departures
+    /// — across many retunes, plus a checkpoint round trip taken after
+    /// a retune that must keep popping exactly like the straight queue.
+    #[test]
+    fn calendar_matches_reference_heap_across_retunes() {
+        let mut cal = EventQueue::with_capacity(4096);
+        let mut heap = EventQueue::reference_heap();
+        for q in [&mut cal, &mut heap] {
+            for i in 0..2000 {
+                q.schedule(0.0, Event::Spawn(i));
+            }
+            q.schedule(0.0, Event::MetricsSample);
+            q.schedule(300.0, Event::DemandUpdate);
+            staggered_ticks(q, 300, 5.0);
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut restored: Option<EventQueue> = None;
+        let mut geometries = vec![geometry(&cal)];
+        for _ in 0..400_000 {
+            let popped = cal.pop();
+            assert_eq!(popped, heap.pop());
+            if let Some(r) = restored.as_mut() {
+                assert_eq!(r.pop(), popped, "restored queue diverged");
+            }
+            let (t, e) = popped.expect("chains never drain");
+            let pushes = engine_step(&mut rng, t, e);
+            apply(&mut cal, t, &pushes);
+            apply(&mut heap, t, &pushes);
+            if let Some(r) = restored.as_mut() {
+                apply(r, t, &pushes);
+            }
+            if geometries.last() != Some(&geometry(&cal)) {
+                geometries.push(geometry(&cal));
+                if geometries.len() == 3 && restored.is_none() {
+                    let (entries, next_seq, now_floor) = cal.snapshot_parts();
+                    restored = Some(EventQueue::restore_parts(
+                        &entries, next_seq, now_floor, false,
+                    ));
+                }
+            }
+        }
+        assert!(restored.is_some());
+        assert!(
+            geometries.len() >= 4,
+            "expected several retunes, saw {geometries:?}"
+        );
+        // The ring shrank after the burst drained and settled on a
+        // span that holds the 5 s chains.
+        let (n, span_exp) = geometry(&cal);
+        assert!(n < geometries.iter().map(|g| g.0).max().unwrap_or(0));
+        assert!(
+            pow2(span_exp) >= 5.0 && pow2(span_exp) < 64.0,
+            "span 2^{span_exp}"
+        );
+    }
+
+    /// A steady 5 s chain lands in its own buckets once the calendar
+    /// has measured it: after the first retune the spill heap stays
+    /// empty. (A fixed 600 s span put a few hundred such ticks into a
+    /// handful of buckets and spilled most of them.)
+    #[test]
+    fn steady_chain_never_spills_after_first_retune() {
+        let mut q = EventQueue::new();
+        staggered_ticks(&mut q, 300, 5.0);
+        for _ in 0..RETUNE_WINDOW {
+            let (t, e) = q.pop().expect("chain");
+            q.advance_to(t);
+            q.schedule_chain(t + 5.0, e);
+        }
+        for _ in 0..100_000 {
+            let (t, e) = q.pop().expect("chain");
+            q.advance_to(t);
+            q.schedule_chain(t + 5.0, e);
+            assert!(calendar(&q).wheel_spill.is_empty(), "spill at t = {t}");
+        }
+        assert_eq!(pow2(calendar(&q).span_exp), 8.0);
+    }
+
+    /// Uniform 1–600 s hold traffic (the `event_loop_snapshot` hold
+    /// mix): after a retune at least 99 % of pending events sit in the
+    /// wheel, not in the overflow heap.
+    #[test]
+    fn hold_traffic_stays_wheel_resident_after_retune() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut q = EventQueue::new();
+        for i in 0..3000 {
+            q.schedule(
+                rng.gen_range(1.0f64..600.0),
+                Event::MonitorTick(ServerId(i)),
+            );
+        }
+        let initial = geometry(&q);
+        for i in 0..60_000 {
+            let (t, e) = q.pop().expect("hold");
+            q.advance_to(t);
+            q.schedule_chain(t + rng.gen_range(1.0f64..600.0), e);
+            if i >= RETUNE_WINDOW && i % 1000 == 0 {
+                let c = calendar(&q);
+                assert!(
+                    c.in_wheel * 100 >= 99 * q.len(),
+                    "{} of {} pending in the wheel",
+                    c.in_wheel,
+                    q.len()
+                );
+            }
+        }
+        assert_ne!(geometry(&q), initial, "never retuned");
     }
 }
