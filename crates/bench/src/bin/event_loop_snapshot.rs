@@ -7,16 +7,15 @@
 //!   [`EventQueue`] under the simulator's characteristic mix — a large
 //!   standing population of far-future departures plus a high rate of
 //!   near-term ticks and completions — for the bucketed calendar queue
-//!   vs. the retained `BinaryHeap` reference. This is where the
+//!   vs. [`ReferenceHeap`], the plain binary heap it replaced. This is where the
 //!   calendar's O(1) wheel pays off: the heap pays `log(pending)`
 //!   sift-downs on *every* near-term pop because the departures sit in
 //!   the same array, while the calendar keeps them in the overflow
 //!   heap it never touches.
 //! * **Engine runs** (`engine_runs`): full fixed-seed simulations on a
-//!   servers × hours grid (events/sec, wall seconds, peak RSS), with a
-//!   `reference_event_queue` (BinaryHeap) baseline at selected sizes.
-//!   Each point runs in a child process so peak RSS is per-run, not
-//!   the max over the whole grid.
+//!   servers × hours grid (events/sec, wall seconds, peak RSS). Each
+//!   point runs in a child process so peak RSS is per-run, not the max
+//!   over the whole grid.
 //!
 //! Usage:
 //!   event_loop_snapshot                 # full grid → BENCH_event_loop.json
@@ -25,9 +24,9 @@
 //!                                       # speedup drops >20 % vs FILE or the
 //!                                       # 5k × 48 h event count differs
 //!   event_loop_snapshot --queue FLEET [MIX]   # one queue point, stdout only
-//!   event_loop_snapshot --engine N VMS HOURS SEED QUEUE   # child
+//!   event_loop_snapshot --engine N VMS HOURS SEED   # child
 
-use ecocloud::dcsim::events::{Event, EventQueue};
+use ecocloud::dcsim::events::{Event, EventQueue, ReferenceHeap};
 use ecocloud::dcsim::ids::ServerId;
 use ecocloud::prelude::EcoCloudPolicy;
 use ecocloud_bench::bench_scenario;
@@ -39,7 +38,7 @@ const QUEUE_OPS: u64 = 2_000_000;
 /// Allowed events/sec regression before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
 /// The committed `engine_runs` row whose exact event count `--check`
-/// reproduces: (servers, VMs, hours), calendar queue, seed 42.
+/// reproduces: (servers, VMs, hours), seed 42.
 const EXACT_ROW: (u64, u64, u64) = (5_000, 10_000, 48);
 
 /// SplitMix64 — a self-contained deterministic stream for the bench
@@ -74,7 +73,6 @@ struct EnginePoint {
     servers: u64,
     vms: u64,
     hours: u64,
-    queue: &'static str,
     events: u64,
     wall_secs: f64,
     eps: f64,
@@ -99,25 +97,67 @@ struct EnginePoint {
 ///   levels (or the calendar's overflow) and are never touched, so
 ///   this mix flatters the heap: only the cache-hot top is exercised.
 ///
-/// Both mixes reschedule via the engine's `schedule_chain` fast path,
-/// and both pick chain counts high enough that the simulated clock
-/// advances only milliseconds per pop — as in a real 48 h run — so the
-/// population composition is stable across the measured window.
+/// The calendar reschedules via the engine's `schedule_chain` fast
+/// path. Both mixes pick chain counts high enough that the simulated
+/// clock advances only milliseconds per pop — as in a real 48 h run —
+/// so the population composition is stable across the measured window.
 /// Returns popped events per wall second.
 fn queue_bench(fleet: u64, mix_name: &str, heap: bool) -> f64 {
-    let (cycling, standing) = match mix_name {
+    if heap {
+        return hold_throughput(ReferenceHeap::default(), fleet, mix_name);
+    }
+    let (cycling, standing) = population(fleet, mix_name);
+    let q = EventQueue::with_capacity((cycling + standing) as usize);
+    hold_throughput(q, fleet, mix_name)
+}
+
+/// `(cycling, standing)` event counts of a [`queue_bench`] mix.
+fn population(fleet: u64, mix_name: &str) -> (u64, u64) {
+    match mix_name {
         "hold" => (2 * fleet + fleet / 4, 0),
         "standing" => ((fleet / 4).max(64), 2 * fleet),
         other => panic!("unknown queue mix {other}"),
-    };
+    }
+}
+
+/// What [`queue_bench`] drives: the calendar and its reference heap.
+trait HoldQueue {
+    fn schedule(&mut self, t_secs: f64, event: Event);
+    fn pop(&mut self) -> Option<(f64, Event)>;
+    /// Re-adds `event`, just popped at `now`, to fire at `t_secs`.
+    fn reschedule(&mut self, _now: f64, t_secs: f64, event: Event) {
+        self.schedule(t_secs, event);
+    }
+}
+
+impl HoldQueue for EventQueue {
+    fn schedule(&mut self, t_secs: f64, event: Event) {
+        EventQueue::schedule(self, t_secs, event);
+    }
+    fn pop(&mut self) -> Option<(f64, Event)> {
+        EventQueue::pop(self)
+    }
+    fn reschedule(&mut self, now: f64, t_secs: f64, event: Event) {
+        self.advance_to(now);
+        self.schedule_chain(t_secs, event);
+    }
+}
+
+impl HoldQueue for ReferenceHeap {
+    fn schedule(&mut self, t_secs: f64, event: Event) {
+        ReferenceHeap::schedule(self, t_secs, event);
+    }
+    fn pop(&mut self) -> Option<(f64, Event)> {
+        ReferenceHeap::pop(self)
+    }
+}
+
+/// [`queue_bench`]'s measurement on one queue.
+fn hold_throughput<Q: HoldQueue>(mut q: Q, fleet: u64, mix_name: &str) -> f64 {
+    let (cycling, standing) = population(fleet, mix_name);
     let dt = |mix: &mut Mix| match mix_name {
         "hold" => 1.0 + 599.0 * mix.unit(),
         _ => 1.0 + 59.0 * mix.unit(),
-    };
-    let mut q = if heap {
-        EventQueue::reference_heap()
-    } else {
-        EventQueue::with_capacity((cycling + standing) as usize)
     };
     let mut mix = Mix(fleet ^ 0xec0c_10d5);
     for i in 0..standing {
@@ -134,16 +174,15 @@ fn queue_bench(fleet: u64, mix_name: &str, heap: bool) -> f64 {
     // throughput number.
     for _ in 0..10_000 {
         let (t, ev) = q.pop().expect("cycling event");
-        q.advance_to(t);
-        q.schedule_chain(t + dt(&mut mix), ev);
+        q.reschedule(t, t + dt(&mut mix), ev);
     }
     let mut best = 0.0f64;
     for _ in 0..3 {
+        #[allow(clippy::disallowed_methods)] // bench harness: times host work, not simulated time
         let start = Instant::now();
         for _ in 0..QUEUE_OPS {
             let (t, ev) = q.pop().expect("cycling event");
-            q.advance_to(t);
-            q.schedule_chain(t + dt(&mut mix), ev);
+            q.reschedule(t, t + dt(&mut mix), ev);
         }
         best = best.max(QUEUE_OPS as f64 / start.elapsed().as_secs_f64());
     }
@@ -172,9 +211,9 @@ fn peak_rss_mb() -> f64 {
 
 /// Child mode: run one engine point and print its metrics as a single
 /// `key=value` line on stdout.
-fn run_engine_child(servers: u64, vms: u64, hours: u64, seed: u64, queue: &str) {
-    let mut scenario = bench_scenario(servers as usize, vms as usize, hours, seed);
-    scenario.config.reference_event_queue = queue == "heap";
+fn run_engine_child(servers: u64, vms: u64, hours: u64, seed: u64) {
+    let scenario = bench_scenario(servers as usize, vms as usize, hours, seed);
+    #[allow(clippy::disallowed_methods)] // bench harness: times host work, not simulated time
     let start = Instant::now();
     let result = scenario.run(EcoCloudPolicy::paper(seed));
     let wall = start.elapsed().as_secs_f64();
@@ -189,7 +228,7 @@ fn run_engine_child(servers: u64, vms: u64, hours: u64, seed: u64, queue: &str) 
 
 /// Runs one engine point in a child process (for per-run RSS) and
 /// parses its metrics line.
-fn run_engine_point(servers: u64, vms: u64, hours: u64, queue: &'static str) -> EnginePoint {
+fn run_engine_point(servers: u64, vms: u64, hours: u64) -> EnginePoint {
     let exe = std::env::current_exe().expect("current_exe");
     let out = std::process::Command::new(exe)
         .args([
@@ -198,7 +237,6 @@ fn run_engine_point(servers: u64, vms: u64, hours: u64, queue: &'static str) -> 
             &vms.to_string(),
             &hours.to_string(),
             "42",
-            queue,
         ])
         .output()
         .expect("spawn engine child");
@@ -221,7 +259,6 @@ fn run_engine_point(servers: u64, vms: u64, hours: u64, queue: &'static str) -> 
         servers,
         vms,
         hours,
-        queue,
         events,
         wall_secs: wall,
         eps: events as f64 / wall,
@@ -234,13 +271,11 @@ fn measure_queue(fleets: &[u64]) -> Vec<QueuePoint> {
     for &fleet in fleets {
         for mix in ["hold", "standing"] {
             eprintln!("queue bench: fleet {fleet} ({mix}) ...");
+            let (cycling, standing) = population(fleet, mix);
             points.push(QueuePoint {
                 fleet,
                 mix,
-                pending: match mix {
-                    "hold" => 2 * fleet + fleet / 4,
-                    _ => 2 * fleet + (fleet / 4).max(64),
-                },
+                pending: cycling + standing,
                 calendar_eps: queue_bench(fleet, mix, false),
                 heap_eps: queue_bench(fleet, mix, true),
             });
@@ -253,11 +288,11 @@ fn render_json(queue: &[QueuePoint], engine: &[EnginePoint]) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"schema\": 1,\n  \"queue_throughput\": [\n");
     for (i, p) in queue.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             s,
             "    {{\"servers\": {}, \"mix\": \"{}\", \"pending_events\": {}, \
              \"calendar_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
+             \"speedup\": {:.2}}}{}",
             p.fleet,
             p.mix,
             p.pending,
@@ -269,15 +304,14 @@ fn render_json(queue: &[QueuePoint], engine: &[EnginePoint]) -> String {
     }
     s.push_str("  ],\n  \"engine_runs\": [\n");
     for (i, p) in engine.iter().enumerate() {
-        let _ = write!(
+        let _ = writeln!(
             s,
-            "    {{\"servers\": {}, \"vms\": {}, \"hours\": {}, \"queue\": \"{}\", \
+            "    {{\"servers\": {}, \"vms\": {}, \"hours\": {}, \
              \"events_processed\": {}, \"wall_secs\": {:.1}, \
-             \"events_per_sec\": {:.0}, \"peak_rss_mb\": {:.0}}}{}\n",
+             \"events_per_sec\": {:.0}, \"peak_rss_mb\": {:.0}}}{}",
             p.servers,
             p.vms,
             p.hours,
-            p.queue,
             p.events,
             p.wall_secs,
             p.eps,
@@ -297,7 +331,7 @@ fn extract_values(json: &str, key: &str) -> Vec<f64> {
     json.match_indices(&needle)
         .map(|(at, _)| {
             json[at + needle.len()..]
-                .split(|c: char| c == ',' || c == '}')
+                .split([',', '}'])
                 .next()
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or_else(|| panic!("unparsable value for {key}"))
@@ -383,42 +417,35 @@ fn check(path: &str) {
 }
 
 /// The machine-independent half of `--check`: the fixed-seed run behind
-/// the committed [`EXACT_ROW`] calendar `engine_runs` row must process
+/// the committed [`EXACT_ROW`] `engine_runs` row must process
 /// exactly the event count that row records. The count is a pure
 /// function of the scenario, so any difference is a change in engine
 /// behaviour, not timing noise.
 fn check_exact_events(committed: &str, path: &str) -> bool {
     let (servers, vms, hours) = EXACT_ROW;
-    let Some(expected) = engine_row_events(committed, EXACT_ROW, "calendar") else {
-        eprintln!("{path} has no {servers}-server x {hours} h calendar engine_runs row");
+    let Some(expected) = engine_row_events(committed, EXACT_ROW) else {
+        eprintln!("{path} has no {servers}-server x {hours} h engine_runs row");
         return false;
     };
-    let measured = run_engine_point(servers, vms, hours, "calendar").events;
+    let measured = run_engine_point(servers, vms, hours).events;
     let ok = measured == expected;
     println!(
-        "engine {servers} servers x {hours} h (calendar): committed events_processed \
+        "engine {servers} servers x {hours} h: committed events_processed \
          {expected}, measured {measured} {}",
         if ok { "ok" } else { "MISMATCH" }
     );
     ok
 }
 
-/// `events_processed` of the `engine_runs` row with the given shape and
-/// queue. The search is scoped to that section because the
+/// `events_processed` of the first `engine_runs` row with the given
+/// shape. The search is scoped to that section because the
 /// `queue_throughput` rows carry a `servers` key too.
-fn engine_row_events(
-    json: &str,
-    (servers, vms, hours): (u64, u64, u64),
-    queue: &str,
-) -> Option<u64> {
+fn engine_row_events(json: &str, (servers, vms, hours): (u64, u64, u64)) -> Option<u64> {
     let section = &json[json.find("\"engine_runs\"")?..];
     let section = &section[..section.find(']')?];
     let is = |row: &str, key: &str, want: u64| extract_values(row, key) == [want as f64];
     let row = section.lines().find(|row| {
-        is(row, "servers", servers)
-            && is(row, "vms", vms)
-            && is(row, "hours", hours)
-            && extract_strings(row, "queue") == [queue]
+        is(row, "servers", servers) && is(row, "vms", vms) && is(row, "hours", hours)
     })?;
     extract_values(row, "events_processed")
         .first()
@@ -430,7 +457,7 @@ fn main() {
     match args.get(1).map(String::as_str) {
         Some("--engine") => {
             let n = |i: usize| args[i].parse::<u64>().expect("numeric arg");
-            run_engine_child(n(2), n(3), n(4), n(5), &args[6]);
+            run_engine_child(n(2), n(3), n(4), n(5));
         }
         Some("--check") => check(args.get(2).map_or("BENCH_event_loop.json", String::as_str)),
         Some("--queue") => {
@@ -445,28 +472,19 @@ fn main() {
         }
         Some("--quick") => {
             let queue = measure_queue(&[50_000, 100_000]);
-            let engine = vec![run_engine_point(5_000, 10_000, 48, "calendar")];
+            let engine = vec![run_engine_point(5_000, 10_000, 48)];
             print!("{}", render_json(&queue, &engine));
         }
         None => {
             let queue = measure_queue(&ecocloud_bench::QUEUE_FLEET_GRID);
             // The engine grid walks the shared large-fleet ladder
             // (2-VMs-per-server 48 h scenarios), skipping the
-            // 1 000-server smoke rung and adding a heap baseline at
-            // the mid-size rungs (the
-            // heap at 100 k × 48 h is too slow to re-run routinely).
+            // 1 000-server smoke rung.
             let mut engine = Vec::new();
             for &servers in ecocloud_bench::LARGE_FLEET_LADDER[1..].iter() {
                 let servers = servers as u64;
-                let queues: &[&str] = if servers == 20_000 || servers == 50_000 {
-                    &["calendar", "heap"]
-                } else {
-                    &["calendar"]
-                };
-                for &q in queues {
-                    eprintln!("engine: {servers} servers x 48 h ({q}) ...");
-                    engine.push(run_engine_point(servers, 2 * servers, 48, q));
-                }
+                eprintln!("engine: {servers} servers x 48 h ...");
+                engine.push(run_engine_point(servers, 2 * servers, 48));
             }
             let json = render_json(&queue, &engine);
             std::fs::write("BENCH_event_loop.json", &json).expect("write snapshot");

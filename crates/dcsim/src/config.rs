@@ -403,12 +403,6 @@ pub struct SimConfig {
     /// default) keeps placement atomic and byte-identical to a
     /// simulator without the subsystem.
     pub control_plane: ControlPlaneConfig,
-    /// Run on the pre-calendar binary-heap event queue
-    /// ([`crate::events::EventQueue::reference_heap`]) instead of the
-    /// bucketed calendar. The two are pop-for-pop identical — this
-    /// switch exists so tests and the bench harness can prove it (and
-    /// measure the speedup) on whole-engine runs. Off by default.
-    pub reference_event_queue: bool,
 }
 
 impl SimConfig {
@@ -428,7 +422,6 @@ impl SimConfig {
             overload_sharing: OverloadSharing::Proportional,
             faults: FaultConfig::none(),
             control_plane: ControlPlaneConfig::off(),
-            reference_event_queue: false,
         }
     }
 

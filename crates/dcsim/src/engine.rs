@@ -204,11 +204,7 @@ impl<P: Policy> Simulation<P> {
         // Pre-size the calendar for the steady-state event population:
         // one pending departure per spawned VM (spawns are all enqueued
         // up front) plus a monitor chain per server.
-        let queue = if config.reference_event_queue {
-            EventQueue::reference_heap()
-        } else {
-            EventQueue::with_capacity(n_servers + workload.spawns.len())
-        };
+        let queue = EventQueue::with_capacity(n_servers + workload.spawns.len());
         let mut sim = Self {
             config,
             cluster,
@@ -546,6 +542,8 @@ impl<P: Policy> Simulation<P> {
     /// are real violations and must reach the histogram) and packages
     /// the results.
     pub fn finish(mut self) -> SimResult {
+        #[cfg(debug_assertions)]
+        self.queue.assert_pop_order_law();
         let end = self.config.duration_secs;
         self.now = end;
         self.queue.advance_to(end);
@@ -2134,6 +2132,21 @@ mod tests {
         // Sanity: cannot exceed the whole fleet at peak for 2 h.
         let upper = 10.0 * 200.0 * 2.0 / 1000.0;
         assert!(res.summary.energy_kwh <= upper);
+    }
+
+    /// The finish half of the pop-order law: an event stored behind the
+    /// last pop that never pops (the run ends first) trips it in
+    /// `finish`.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pop-order")]
+    fn finish_rejects_an_event_pending_before_the_last_pop() {
+        let traces = small_traces(10);
+        let w = Workload::all_vms_from_start(traces);
+        let mut sim = Simulation::new(Fleet::uniform(5, 6), w, quick_config(), FirstFit);
+        let last = (0..100).filter_map(|_| sim.step()).last().expect("the run lasts 2 h");
+        sim.queue.insert_unchecked(last - 1.0, Event::MetricsSample);
+        sim.finish();
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //! which — together with seeded RNGs — makes every run exactly
 //! reproducible.
 //!
-//! Pop order is *identical* to the plain binary-heap calendar this
-//! replaced: each pop selects the `(time, seq)` minimum of the cursor
-//! bucket (the same total order the heap used), bucket membership
-//! partitions events by time, and every overflow event inside the
-//! window moves into the wheel before a pop selects a bucket. The
-//! geometry only decides where an event is stored, never which event
-//! pops next, so retunes cannot change the order. The old heap
-//! survives as [`EventQueue::reference_heap`], both as the oracle for
-//! the equivalence proptests below and as a whole-engine cross-check
-//! (`SimConfig::reference_event_queue`). See `DESIGN.md` §14 for the
-//! full determinism argument.
+//! Pop order is *identical* to the plain binary heap this replaced:
+//! each pop selects the `(time, seq)` minimum of the cursor bucket
+//! (the same total order the heap used), bucket membership partitions
+//! events by time, and every overflow event inside the window moves
+//! into the wheel before a pop selects a bucket. The geometry only
+//! decides where an event is stored, never which event pops next, so
+//! retunes cannot change the order. Debug-assertion builds enforce it
+//! on every run with a pop-order law: each pop is strictly after the
+//! last, and at the end nothing pending lies before the last pop. The
+//! old heap survives outside the engine as [`ReferenceHeap`], the
+//! oracle for the equivalence tests below. See `DESIGN.md` §14 for
+//! the full determinism argument.
 
 use crate::checkpoint::{CheckpointError, Dec, Enc};
 use crate::ids::{ServerId, VmId};
@@ -499,13 +500,7 @@ impl Calendar {
             self.in_wheel
         } else {
             let end = self.base as f64 * self.width + pow2(span_exp);
-            let inside = |s: &&Scheduled| s.t_secs < end;
-            let inline = self.lens.iter().enumerate();
-            inline
-                .map(|(slot, &n)| self.slots[slot][..n as usize].iter().filter(inside).count())
-                .sum::<usize>()
-                + self.wheel_spill.iter().filter(inside).count()
-                + self.overflow.iter().filter(inside).count()
+            self.entries().filter(|s| s.t_secs < end).count()
         };
         let n = resident.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         if (n, span_exp) != (self.n_buckets(), self.span_exp) {
@@ -596,10 +591,10 @@ impl Calendar {
             self.in_wheel -= 1;
             if self.live[slot / 64] & (1u64 << (slot % 64)) != 0
                 && self.lens[slot] == 0
-                && !self
+                && self
                     .wheel_spill
                     .peek()
-                    .is_some_and(|t| self.bucket_of(t.t_secs) == self.base)
+                    .is_none_or(|t| self.bucket_of(t.t_secs) != self.base)
             {
                 self.live[slot / 64] &= !(1u64 << (slot % 64));
             }
@@ -618,40 +613,25 @@ impl Calendar {
         }
     }
 
-    /// Earliest pending event time (cold path: scans the wheel).
-    fn peek_time(&self) -> Option<f64> {
-        let mut best: Option<(f64, u64)> = None;
-        if self.in_wheel > 0 {
-            // The first non-empty bucket from the cursor holds the
-            // earliest wheel event; later buckets are strictly later.
-            let from = self.base as usize & self.mask;
-            let slot = self.next_occupied_slot(from);
-            for s in &self.slots[slot][..self.lens[slot] as usize] {
-                if best.is_none_or(|b| (s.t_secs, s.seq) < b) {
-                    best = Some((s.t_secs, s.seq));
-                }
-            }
-            if let Some(top) = self.wheel_spill.peek() {
-                let abs = self.base + (slot.wrapping_sub(from) & self.mask) as u64;
-                if self.bucket_of(top.t_secs) == abs
-                    && best.is_none_or(|b| (top.t_secs, top.seq) < b)
-                {
-                    best = Some((top.t_secs, top.seq));
-                }
-            }
-        }
-        if let Some(o) = self.overflow.peek() {
-            if best.is_none_or(|(t, seq)| (o.t_secs, o.seq) < (t, seq)) {
-                best = Some((o.t_secs, o.seq));
-            }
-        }
-        best.map(|(t, _)| t)
+    /// Every stored event (inline, spilled or overflow), unordered.
+    fn entries(&self) -> impl Iterator<Item = &Scheduled> {
+        let inline = self.lens.iter().zip(&self.slots);
+        let inline = inline.flat_map(|(&n, slot)| &slot[..n as usize]);
+        inline
+            .chain(self.wheel_spill.iter())
+            .chain(self.overflow.iter())
     }
 
-    /// Doubles the bucket count under the same span (grow-on-load).
-    fn grow(&mut self) {
-        debug_assert!(self.n_buckets() * 2 <= MAX_BUCKETS);
-        self.rebuild(self.n_buckets() * 2, self.span_exp);
+    /// Grow-on-load: doubles the bucket count under the same span once
+    /// the wheel holds more than [`GROW_LOAD_FACTOR`] events per
+    /// bucket. The trigger is the *wheel-resident* count, not the
+    /// total: overflow events (the far-future departure bulk) never
+    /// touch a bucket, and sizing the ring for them would leave it
+    /// sparse — every pop would scan long runs of empty buckets.
+    fn grow_if_loaded(&mut self) {
+        if self.in_wheel > GROW_LOAD_FACTOR * self.n_buckets() && self.n_buckets() < MAX_BUCKETS {
+            self.rebuild(self.n_buckets() * 2, self.span_exp);
+        }
     }
 
     /// Re-lays the wheel out as `n_new` buckets over `2^span_exp`
@@ -690,23 +670,22 @@ impl Calendar {
     }
 }
 
-#[derive(Debug)]
-enum QueueImpl {
-    Calendar(Calendar),
-    /// The pre-calendar binary heap, kept as a reference oracle.
-    Heap(BinaryHeap<Scheduled>),
-}
-
-/// Deterministic event queue.
+/// Deterministic event queue: the calendar plus the sequence numbers,
+/// clock floor and pending count the engine needs around it.
 #[derive(Debug)]
 pub struct EventQueue {
-    impl_: QueueImpl,
+    cal: Calendar,
     len: usize,
     next_seq: u64,
     /// Current simulation time as reported by the driving engine via
     /// [`advance_to`](Self::advance_to); scheduling earlier than this
     /// is rejected in debug builds.
     now_floor: f64,
+    /// The last event popped, for the pop-order law (see
+    /// [`pop`](Self::pop) and
+    /// [`assert_pop_order_law`](Self::assert_pop_order_law)).
+    #[cfg(debug_assertions)]
+    last_pop: Option<Scheduled>,
 }
 
 impl Default for EventQueue {
@@ -734,23 +713,12 @@ impl EventQueue {
     /// to 8,192 buckets shrinks back to 256–512 once the burst drains.
     pub fn with_capacity(hint: usize) -> Self {
         EventQueue {
-            impl_: QueueImpl::Calendar(Calendar::new(hint)),
+            cal: Calendar::new(hint),
             len: 0,
             next_seq: 0,
             now_floor: 0.0,
-        }
-    }
-
-    /// Creates an empty queue backed by the plain binary heap the
-    /// calendar replaced. Identical observable behavior; kept as the
-    /// oracle for equivalence tests and whole-engine cross-checks
-    /// (`SimConfig::reference_event_queue`).
-    pub fn reference_heap() -> Self {
-        EventQueue {
-            impl_: QueueImpl::Heap(BinaryHeap::new()),
-            len: 0,
-            next_seq: 0,
-            now_floor: 0.0,
+            #[cfg(debug_assertions)]
+            last_pop: None,
         }
     }
 
@@ -766,11 +734,7 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let s = Scheduled { t_secs, seq, event };
-        match &mut self.impl_ {
-            QueueImpl::Calendar(c) => c.push(s),
-            QueueImpl::Heap(h) => h.push(s),
-        }
+        self.cal.push(Scheduled { t_secs, seq, event });
     }
 
     /// Schedules `event` at absolute time `t_secs`.
@@ -797,16 +761,8 @@ impl EventQueue {
         self.push(t_secs, event);
         // Grow outside the per-bucket fast path: chains re-add what
         // they popped and never trip this, so only net growth (spawn
-        // bursts, exchange fan-out) pays the check. The trigger is the
-        // *wheel-resident* count, not the total: overflow events (the
-        // far-future departure bulk) never touch a bucket, and sizing
-        // the ring for them would leave it sparse — every pop would
-        // scan long runs of empty buckets.
-        if let QueueImpl::Calendar(c) = &mut self.impl_ {
-            if c.in_wheel > GROW_LOAD_FACTOR * c.n_buckets() && c.n_buckets() < MAX_BUCKETS {
-                c.grow();
-            }
-        }
+        // bursts, exchange fan-out) pays the check.
+        self.cal.grow_if_loaded();
     }
 
     /// Fast-path `schedule` for the per-tick self-rescheduling chains
@@ -828,23 +784,46 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
+    ///
+    /// # Panics
+    /// Debug builds enforce the pop half of the pop-order law: each
+    /// pop's `(time, seq)` is strictly after the previous pop's.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        let popped = match &mut self.impl_ {
-            QueueImpl::Calendar(c) => c.pop(),
-            QueueImpl::Heap(h) => h.pop(),
-        };
-        popped.map(|s| {
-            self.len -= 1;
-            (s.t_secs, s.event)
-        })
+        let s = self.cal.pop()?;
+        self.len -= 1;
+        #[cfg(debug_assertions)]
+        {
+            self.assert_after_last_pop(&s);
+            self.last_pop = Some(s);
+        }
+        Some((s.t_secs, s.event))
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
-        match &self.impl_ {
-            QueueImpl::Calendar(c) => c.peek_time(),
-            QueueImpl::Heap(h) => h.peek().map(|s| s.t_secs),
+    #[cfg(debug_assertions)]
+    fn assert_after_last_pop(&self, s: &Scheduled) {
+        if let Some(last) = &self.last_pop {
+            assert!(
+                earlier(last, s),
+                "pop-order law broken: {s:?} due before {last:?}"
+            );
         }
+    }
+
+    /// The finish half of the pop-order law: no pending event lies
+    /// before the last pop, and the calendar stores exactly
+    /// [`len`](Self::len) events. With the pop half, this makes every
+    /// pop of the run the minimum of the pending set (the argument is
+    /// in `DESIGN.md` §14).
+    ///
+    /// # Panics
+    /// When either condition fails.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_pop_order_law(&self) {
+        for s in self.cal.entries() {
+            self.assert_after_last_pop(s);
+        }
+        let stored = self.cal.entries().count();
+        assert_eq!(stored, self.len, "pop-order law broken: stored count");
     }
 
     /// Number of pending events.
@@ -857,12 +836,6 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// True when backed by the reference binary heap. Snapshots record
-    /// the backing choice so a resumed run keeps the same impl.
-    pub(crate) fn is_reference_heap(&self) -> bool {
-        matches!(self.impl_, QueueImpl::Heap(_))
-    }
-
     /// Captures the queue as `(entries, next_seq, now_floor)` for a
     /// checkpoint. Entries are every pending `(time, seq, event)`
     /// sorted by `(time, seq)` — the canonical form: two queues with
@@ -872,16 +845,7 @@ impl EventQueue {
     /// oracle) hold.
     pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
         let mut entries: Vec<Scheduled> = Vec::with_capacity(self.len);
-        match &self.impl_ {
-            QueueImpl::Calendar(c) => {
-                for (slot, &n) in c.lens.iter().enumerate() {
-                    entries.extend_from_slice(&c.slots[slot][..n as usize]);
-                }
-                entries.extend(c.wheel_spill.iter().copied());
-                entries.extend(c.overflow.iter().copied());
-            }
-            QueueImpl::Heap(h) => entries.extend(h.iter().copied()),
-        }
+        entries.extend(self.cal.entries().copied());
         debug_assert_eq!(entries.len(), self.len, "queue len out of sync with storage");
         entries.sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs).then_with(|| a.seq.cmp(&b.seq)));
         (
@@ -895,46 +859,34 @@ impl EventQueue {
     /// [`snapshot_parts`](Self::snapshot_parts), preserving each
     /// entry's original sequence number (re-assigning them would
     /// reorder simultaneous events). Pop order depends only on the
-    /// `(time, seq)` total order — proven pop-for-pop identical to the
-    /// reference heap — so the rebuilt wheel's cursor starting at zero
-    /// instead of the original's advanced position, and its default
-    /// geometry until the first retune, are invisible.
+    /// `(time, seq)` total order — proven pop-for-pop identical to
+    /// [`ReferenceHeap`] — so the rebuilt wheel's cursor starting at
+    /// zero instead of the original's advanced position, and its
+    /// default geometry until the first retune, are invisible.
     pub(crate) fn restore_parts(
         entries: &[(f64, u64, Event)],
         next_seq: u64,
         now_floor: f64,
-        reference_heap: bool,
     ) -> Self {
-        let mut q = if reference_heap {
-            Self::reference_heap()
-        } else {
-            Self::with_capacity(entries.len())
-        };
+        let mut q = Self::with_capacity(entries.len());
         q.now_floor = now_floor;
         for &(t_secs, seq, event) in entries {
             debug_assert!(seq < next_seq, "entry seq {seq} >= next_seq {next_seq}");
-            let s = Scheduled { t_secs, seq, event };
-            match &mut q.impl_ {
-                QueueImpl::Calendar(c) => {
-                    c.insert(s);
-                    if c.in_wheel > GROW_LOAD_FACTOR * c.n_buckets() && c.n_buckets() < MAX_BUCKETS
-                    {
-                        c.grow();
-                    }
-                }
-                QueueImpl::Heap(h) => h.push(s),
-            }
-            q.len += 1;
+            q.cal.insert(Scheduled { t_secs, seq, event });
+            q.cal.grow_if_loaded();
         }
+        q.len = entries.len();
         q.next_seq = next_seq;
         q
     }
 
-    /// Checkpoint encoding: backing choice, counters, then the
+    /// Checkpoint encoding: a reserved zero byte, counters, then the
     /// canonical `(time, seq, event)` entry list.
     pub(crate) fn encode(&self, e: &mut Enc) {
         let (entries, next_seq, now_floor) = self.snapshot_parts();
-        e.bool(self.is_reference_heap());
+        // Reserved, always 0: the byte keeps the section layout of
+        // earlier snapshots, which restore unchanged.
+        e.u8(0);
         e.u64(next_seq);
         e.f64(now_floor);
         e.usize(entries.len());
@@ -947,7 +899,12 @@ impl EventQueue {
 
     /// Checkpoint decoding, inverse of [`encode`](Self::encode).
     pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
-        let reference_heap = d.bool()?;
+        let reserved = d.u8()?;
+        if reserved != 0 {
+            return Err(CheckpointError::Corrupt(format!(
+                "queue reserved byte is {reserved}, expected 0"
+            )));
+        }
         let next_seq = d.u64()?;
         let now_floor = d.f64()?;
         let n = d.usize()?;
@@ -960,12 +917,43 @@ impl EventQueue {
             let event = Event::decode(d)?;
             entries.push((t, seq, event));
         }
-        Ok(Self::restore_parts(
-            &entries,
-            next_seq,
-            now_floor,
-            reference_heap,
-        ))
+        Ok(Self::restore_parts(&entries, next_seq, now_floor))
+    }
+
+    /// Files `event` at `t_secs` with the next sequence number straight
+    /// into the calendar, past `schedule`'s checks — the shape of a
+    /// queue bug that stores an event behind the cursor.
+    #[cfg(all(test, debug_assertions))]
+    pub(crate) fn insert_unchecked(&mut self, t_secs: f64, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        self.cal.insert(Scheduled { t_secs, seq, event });
+    }
+}
+
+/// The plain binary heap the calendar replaced, kept outside the
+/// engine as the oracle of the equivalence tests and the baseline of
+/// `event_loop_snapshot`. It numbers events and orders them exactly as
+/// [`EventQueue`] does, so the same schedule calls give the same pops.
+#[derive(Debug, Default)]
+pub struct ReferenceHeap {
+    heap: BinaryHeap<Scheduled>,
+    next_seq: u64,
+}
+
+impl ReferenceHeap {
+    /// Schedules `event` at absolute time `t_secs`. Unchecked: an
+    /// oracle is fed what the calendar under test accepted.
+    pub fn schedule(&mut self, t_secs: f64, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled { t_secs, seq, event });
+    }
+
+    /// Removes and returns the earliest event as `(time, event)`.
+    pub fn pop(&mut self) -> Option<(f64, Event)> {
+        self.heap.pop().map(|s| (s.t_secs, s.event))
     }
 }
 
@@ -1018,25 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(7.0, Event::DemandUpdate);
-        assert_eq!(q.peek_time(), Some(7.0));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_sees_overflow_and_far_future() {
-        let mut q = EventQueue::new();
-        q.schedule(1e5, Event::DemandUpdate); // far beyond the wheel span
-        assert_eq!(q.peek_time(), Some(1e5));
-        q.schedule(3.0, Event::MetricsSample);
-        assert_eq!(q.peek_time(), Some(3.0));
-        assert_eq!(q.pop().map(|(t, _)| t), Some(3.0));
-        assert_eq!(q.pop().map(|(t, _)| t), Some(1e5));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule")]
     fn rejects_nan_time() {
         EventQueue::new().schedule(f64::NAN, Event::DemandUpdate);
@@ -1066,6 +1035,19 @@ mod tests {
         let mut q = EventQueue::new();
         q.advance_to(600.0);
         q.schedule_chain(300.0, Event::DemandUpdate);
+    }
+
+    /// The pop half of the pop-order law: an event stored behind the
+    /// last pop (which `schedule` cannot do) trips it when it pops.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pop-order")]
+    fn pop_order_law_rejects_a_pop_before_the_last() {
+        let mut q = EventQueue::new();
+        q.schedule(10.0, Event::DemandUpdate);
+        assert_eq!(q.pop(), Some((10.0, Event::DemandUpdate)));
+        q.insert_unchecked(5.0, Event::MetricsSample);
+        q.pop();
     }
 
     #[test]
@@ -1102,8 +1084,10 @@ mod tests {
     #[test]
     fn far_future_overflow_interleaves_correctly() {
         let mut q = EventQueue::new();
-        // A departure hours out (overflow), a repair 30 min out
-        // (overflow), and a tick chain inside the wheel.
+        // A check far beyond any wheel span, a departure hours out
+        // (overflow), a repair 30 min out (overflow), and a tick chain
+        // inside the wheel.
+        q.schedule(1e5, Event::HibernateCheck(ServerId(3)));
         q.schedule(7200.0, Event::Departure(VmId(1)));
         q.schedule(1800.0, Event::FaultRepair(ServerId(2)));
         let mut now = 0.0;
@@ -1128,6 +1112,10 @@ mod tests {
         assert!(popped
             .iter()
             .any(|(t, e)| *t == 7200.0 && matches!(e, Event::Departure(_))));
+        assert_eq!(
+            popped.last(),
+            Some(&(1e5, Event::HibernateCheck(ServerId(3))))
+        );
     }
 
     #[test]
@@ -1135,7 +1123,7 @@ mod tests {
         // Push enough simultaneous-window events to force repeated
         // doubling, then verify global pop order.
         let mut q = EventQueue::with_capacity(0);
-        let mut reference = EventQueue::reference_heap();
+        let mut reference = ReferenceHeap::default();
         for i in 0..5000 {
             // Spread across the wheel span with duplicates.
             let t = (i % 613) as f64 * 0.97;
@@ -1152,19 +1140,22 @@ mod tests {
         }
     }
 
-    /// Restores `q`'s snapshot into a fresh calendar *and* a fresh
-    /// reference heap, checks canonical re-snapshot equality, then
-    /// drains all three in lockstep — pop-for-pop identity is the
-    /// contract checkpoint restore rests on.
+    /// Restores `q`'s snapshot into a fresh calendar *and* a
+    /// [`ReferenceHeap`] holding the same entries, checks canonical
+    /// re-snapshot equality, then drains them in lockstep with the
+    /// decoded queue — pop-for-pop identity is the contract checkpoint
+    /// restore rests on.
     fn assert_snapshot_roundtrips(mut q: EventQueue) {
         let (entries, next_seq, now_floor) = q.snapshot_parts();
         assert_eq!(entries.len(), q.len());
-        let mut cal = EventQueue::restore_parts(&entries, next_seq, now_floor, false);
-        let mut heap = EventQueue::restore_parts(&entries, next_seq, now_floor, true);
-        assert!(!cal.is_reference_heap());
-        assert!(heap.is_reference_heap());
+        let mut cal = EventQueue::restore_parts(&entries, next_seq, now_floor);
+        // Entries come sorted by `(time, seq)`, so scheduling them in
+        // order renumbers them without reordering ties.
+        let mut heap = ReferenceHeap::default();
+        for &(t, _, event) in &entries {
+            heap.schedule(t, event);
+        }
         assert_eq!(cal.snapshot_parts(), (entries.clone(), next_seq, now_floor));
-        assert_eq!(heap.snapshot_parts(), (entries.clone(), next_seq, now_floor));
 
         // Byte codec round-trips to the same canonical parts too.
         let mut e = Enc::new();
@@ -1184,7 +1175,7 @@ mod tests {
                 break;
             }
         }
-        assert!(cal.is_empty() && heap.is_empty() && decoded.is_empty());
+        assert!(cal.is_empty() && decoded.is_empty());
     }
 
     #[test]
@@ -1235,9 +1226,28 @@ mod tests {
             let (t, _) = q.pop().expect("has events");
             q.advance_to(t);
         }
-        // A straggler at the (clamped) cursor bucket.
-        q.schedule(q.peek_time().expect("pending") - 1.0, Event::MetricsSample);
+        // A straggler at the (clamped) cursor bucket, just before the
+        // next pending spawn at 20 × 37 s.
+        q.schedule(20.0 * 37.0 - 1.0, Event::MetricsSample);
         assert_snapshot_roundtrips(q);
+    }
+
+    /// The queue section's reserved byte must read 0; anything else is
+    /// a corrupt checkpoint, reported as an error, never a panic.
+    #[test]
+    fn decode_rejects_nonzero_reserved_byte() {
+        let mut q = EventQueue::new();
+        q.schedule(30.0, Event::MonitorTick(ServerId(0)));
+        let mut e = Enc::new();
+        q.encode(&mut e);
+        let mut bytes = e.into_bytes();
+        assert_eq!(bytes[0], 0);
+        assert!(EventQueue::decode(&mut Dec::new(&bytes, "queue")).is_ok());
+        bytes[0] = 1;
+        assert!(matches!(
+            EventQueue::decode(&mut Dec::new(&bytes, "queue")),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1305,7 +1315,7 @@ mod tests {
             let pop_every = rng.gen_range(2usize..6);
             let hint = rng.gen_range(0usize..512);
             let mut cal = EventQueue::with_capacity(hint);
-            let mut heap = EventQueue::reference_heap();
+            let mut heap = ReferenceHeap::default();
             let mut now = 0.0f64;
             for (i, &dt) in times.iter().enumerate() {
                 // Schedule relative to the advancing clock, as the
@@ -1320,7 +1330,6 @@ mod tests {
                     if let Some((t, _)) = a {
                         now = now.max(t);
                         cal.advance_to(now);
-                        heap.advance_to(now);
                     }
                 }
             }
@@ -1349,7 +1358,7 @@ mod tests {
                 .collect::<Vec<_>>();
             let rounds = rng.gen_range(2usize..20);
             let mut cal = EventQueue::with_capacity(offsets.len());
-            let mut heap = EventQueue::reference_heap();
+            let mut heap = ReferenceHeap::default();
             for (i, &off) in offsets.iter().enumerate() {
                 cal.schedule(off, Event::MonitorTick(ServerId(i as u32)));
                 heap.schedule(off, Event::MonitorTick(ServerId(i as u32)));
@@ -1360,35 +1369,24 @@ mod tests {
                 assert_eq!(&a, &b);
                 let (t, e) = a.expect("chain never drains");
                 cal.advance_to(t);
-                heap.advance_to(t);
-                cal.schedule_chain(t + 300.0, e.clone());
-                heap.schedule_chain(t + 300.0, e);
+                cal.schedule_chain(t + 300.0, e);
+                heap.schedule(t + 300.0, e);
             }
         }
     }
 
-    /// `(n_buckets, span_exp)` of a calendar-backed queue.
+    /// `(n_buckets, span_exp)` of the queue's calendar.
     fn geometry(q: &EventQueue) -> (usize, i32) {
-        match &q.impl_ {
-            QueueImpl::Calendar(c) => (c.n_buckets(), c.span_exp),
-            QueueImpl::Heap(_) => unreachable!("calendar expected"),
-        }
+        (q.cal.n_buckets(), q.cal.span_exp)
     }
 
-    fn calendar(q: &EventQueue) -> &Calendar {
-        match &q.impl_ {
-            QueueImpl::Calendar(c) => c,
-            QueueImpl::Heap(_) => unreachable!("calendar expected"),
-        }
-    }
-
-    /// Schedules `n` monitor chains with the engine's stagger: offsets
-    /// evenly spread over one `period`.
-    fn staggered_ticks(q: &mut EventQueue, n: u32, period: f64) {
-        for i in 0..n {
+    /// `n` monitor chains with the engine's stagger: offsets evenly
+    /// spread over one `period`.
+    fn staggered_ticks(n: u32, period: f64) -> impl Iterator<Item = (f64, Event)> {
+        (0..n).map(move |i| {
             let t = period * (i + 1) as f64 / n as f64;
-            q.schedule(t, Event::MonitorTick(ServerId(i)));
-        }
+            (t, Event::MonitorTick(ServerId(i)))
+        })
     }
 
     /// The engine's traffic shape as a state machine over the popped
@@ -1436,14 +1434,12 @@ mod tests {
     #[test]
     fn calendar_matches_reference_heap_across_retunes() {
         let mut cal = EventQueue::with_capacity(4096);
-        let mut heap = EventQueue::reference_heap();
-        for q in [&mut cal, &mut heap] {
-            for i in 0..2000 {
-                q.schedule(0.0, Event::Spawn(i));
-            }
-            q.schedule(0.0, Event::MetricsSample);
-            q.schedule(300.0, Event::DemandUpdate);
-            staggered_ticks(q, 300, 5.0);
+        let mut heap = ReferenceHeap::default();
+        let burst = (0..2000).map(|i| (0.0, Event::Spawn(i)));
+        let sweeps = [(0.0, Event::MetricsSample), (300.0, Event::DemandUpdate)];
+        for (t, e) in burst.chain(sweeps).chain(staggered_ticks(300, 5.0)) {
+            cal.schedule(t, e);
+            heap.schedule(t, e);
         }
         let mut rng = StdRng::seed_from_u64(41);
         let mut restored: Option<EventQueue> = None;
@@ -1457,7 +1453,9 @@ mod tests {
             let (t, e) = popped.expect("chains never drain");
             let pushes = engine_step(&mut rng, t, e);
             apply(&mut cal, t, &pushes);
-            apply(&mut heap, t, &pushes);
+            for &(at, e, _) in &pushes {
+                heap.schedule(at, e);
+            }
             if let Some(r) = restored.as_mut() {
                 apply(r, t, &pushes);
             }
@@ -1465,9 +1463,7 @@ mod tests {
                 geometries.push(geometry(&cal));
                 if geometries.len() == 3 && restored.is_none() {
                     let (entries, next_seq, now_floor) = cal.snapshot_parts();
-                    restored = Some(EventQueue::restore_parts(
-                        &entries, next_seq, now_floor, false,
-                    ));
+                    restored = Some(EventQueue::restore_parts(&entries, next_seq, now_floor));
                 }
             }
         }
@@ -1493,7 +1489,9 @@ mod tests {
     #[test]
     fn steady_chain_never_spills_after_first_retune() {
         let mut q = EventQueue::new();
-        staggered_ticks(&mut q, 300, 5.0);
+        for (t, e) in staggered_ticks(300, 5.0) {
+            q.schedule(t, e);
+        }
         for _ in 0..RETUNE_WINDOW {
             let (t, e) = q.pop().expect("chain");
             q.advance_to(t);
@@ -1503,9 +1501,9 @@ mod tests {
             let (t, e) = q.pop().expect("chain");
             q.advance_to(t);
             q.schedule_chain(t + 5.0, e);
-            assert!(calendar(&q).wheel_spill.is_empty(), "spill at t = {t}");
+            assert!(q.cal.wheel_spill.is_empty(), "spill at t = {t}");
         }
-        assert_eq!(pow2(calendar(&q).span_exp), 8.0);
+        assert_eq!(pow2(q.cal.span_exp), 8.0);
     }
 
     /// Uniform 1–600 s hold traffic (the `event_loop_snapshot` hold
@@ -1527,11 +1525,10 @@ mod tests {
             q.advance_to(t);
             q.schedule_chain(t + rng.gen_range(1.0f64..600.0), e);
             if i >= RETUNE_WINDOW && i % 1000 == 0 {
-                let c = calendar(&q);
                 assert!(
-                    c.in_wheel * 100 >= 99 * q.len(),
+                    q.cal.in_wheel * 100 >= 99 * q.len(),
                     "{} of {} pending in the wheel",
-                    c.in_wheel,
+                    q.cal.in_wheel,
                     q.len()
                 );
             }

@@ -154,13 +154,6 @@ fn resume_is_byte_identical_with_open_system_churn() {
 }
 
 #[test]
-fn resume_is_byte_identical_with_reference_event_queue() {
-    let mut s = closed(11);
-    s.config.reference_event_queue = true;
-    assert_resume_equivalent("refqueue", &s, || EcoCloudPolicy::paper(11));
-}
-
-#[test]
 fn resume_is_byte_identical_for_random_policy_rng() {
     let s = closed(12);
     assert_resume_equivalent("random", &s, || RandomPolicy::new(0.9, 12));
