@@ -6,19 +6,16 @@ use ecocloud::prelude::*;
 
 /// A deterministic scenario of the given size for throughput benches.
 pub fn bench_scenario(n_servers: usize, n_vms: usize, hours: u64, seed: u64) -> Scenario {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::small(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.record_server_utilization = false;
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
+    let mut s = Scenario::closed_system(
+        Fleet::thirds(n_servers),
+        TraceConfig {
+            n_vms,
+            duration_secs: hours * 3600,
+            ..TraceConfig::small(seed)
+        },
+    );
+    s.config.record_server_utilization = false;
+    s
 }
 
 /// The fleet ladder of the large-fleet measurements: every rung runs
@@ -39,57 +36,4 @@ pub const QUEUE_FLEET_GRID: [u64; 7] = [
 /// scans dominated the event loop before the incremental accounting.
 pub fn large_fleet_scenario(n_servers: usize, seed: u64) -> Scenario {
     bench_scenario(n_servers, 2 * n_servers, 48, seed)
-}
-
-/// Summary of one run of a large-fleet seed sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Seed the replica ran with.
-    pub seed: u64,
-    /// Total energy, kWh.
-    pub energy_kwh: f64,
-    /// Time-weighted mean of powered servers.
-    pub mean_active_servers: f64,
-    /// Events popped from the calendar.
-    pub events_processed: u64,
-}
-
-/// Runs `replicas` large-fleet simulations (seeds `base_seed..`) on
-/// all available cores via [`ecocloud::parallel::run_seeds`] and
-/// returns one [`SweepPoint`] per seed, in seed order. It doubles as a
-/// determinism stress: each replica is bit-identical to a lone run of
-/// the same seed.
-pub fn large_fleet_seed_sweep(
-    n_servers: usize,
-    base_seed: u64,
-    replicas: usize,
-) -> Vec<SweepPoint> {
-    ecocloud::parallel::run_seeds(base_seed, replicas, |seed| {
-        let res = large_fleet_scenario(n_servers, seed).run(EcoCloudPolicy::paper(seed));
-        SweepPoint {
-            seed,
-            energy_kwh: res.summary.energy_kwh,
-            mean_active_servers: res.summary.mean_active_servers,
-            events_processed: res.summary.events_processed,
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Smoke: the sweep machinery runs end to end at a CI-friendly
-    /// size and each replica matches a lone run of the same seed.
-    #[test]
-    fn seed_sweep_matches_lone_runs() {
-        let points = large_fleet_seed_sweep(30, 5, 2);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.events_processed > 0);
-            let lone = large_fleet_scenario(30, p.seed).run(EcoCloudPolicy::paper(p.seed));
-            assert_eq!(p.energy_kwh, lone.summary.energy_kwh, "seed {}", p.seed);
-            assert_eq!(p.events_processed, lone.summary.events_processed);
-        }
-    }
 }

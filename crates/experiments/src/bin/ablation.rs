@@ -13,29 +13,7 @@
 use ecocloud::core::{EcoCloudConfig, EcoCloudPolicy};
 use ecocloud::metrics::table::fmt_num;
 use ecocloud::metrics::Table;
-use ecocloud::prelude::*;
-use ecocloud_experiments::{emit, fast_mode, seed};
-
-fn ablation_scenario(seed: u64) -> Scenario {
-    let (n_vms, n_servers, hours) = if fast_mode() {
-        (400, 30, 6)
-    } else {
-        (1500, 100, 24)
-    };
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.record_server_utilization = false;
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
-}
+use ecocloud_experiments::{emit, reduced_scenario, seed};
 
 /// A named configuration tweak.
 type Variant = (
@@ -87,7 +65,7 @@ fn main() {
     let rows: Vec<_> = variants
         .iter()
         .map(|(name, tweak)| {
-            let scenario = ablation_scenario(seed);
+            let scenario = reduced_scenario(seed);
             let cfg = tweak(EcoCloudConfig::paper(seed));
             let mut res = scenario.run(EcoCloudPolicy::new(cfg));
             let viol30 = res.stats.violations_shorter_than(30.0);

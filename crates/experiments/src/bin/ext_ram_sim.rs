@@ -12,30 +12,13 @@ use ecocloud::core::{EcoCloudConfig, EcoCloudPolicy};
 use ecocloud::metrics::table::fmt_num;
 use ecocloud::metrics::Table;
 use ecocloud::prelude::*;
-use ecocloud_experiments::{emit, fast_mode, seed};
+use ecocloud_experiments::{emit, reduced_scenario, seed};
 
 fn scenario(seed: u64) -> Scenario {
-    let (n_vms, n_servers, hours) = if fast_mode() {
-        (400, 30, 6)
-    } else {
-        (1500, 100, 24)
-    };
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut workload = Workload::all_vms_from_start(traces);
+    let mut s = reduced_scenario(seed);
     // Median 1 GB, heavy tail to 8 GB.
-    workload.assign_ram_demands(1024.0, 0.8, 8192.0, seed);
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.record_server_utilization = false;
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload,
-        config,
-    }
+    s.workload.assign_ram_demands(1024.0, 0.8, 8192.0, seed);
+    s
 }
 
 fn main() {

@@ -9,30 +9,13 @@ use ecocloud::dcsim::{OverloadSharing, VmPriority};
 use ecocloud::metrics::table::fmt_num;
 use ecocloud::metrics::Table;
 use ecocloud::prelude::*;
-use ecocloud_experiments::{emit, fast_mode, seed};
+use ecocloud_experiments::{emit, reduced_scenario, seed};
 
 fn scenario(seed: u64, sharing: OverloadSharing) -> Scenario {
-    let (n_vms, n_servers, hours) = if fast_mode() {
-        (400, 30, 6)
-    } else {
-        (1500, 100, 24)
-    };
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut workload = Workload::all_vms_from_start(traces);
-    workload.assign_priorities(0.10, 0.70, 0.20, seed);
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.record_server_utilization = false;
-    config.overload_sharing = sharing;
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload,
-        config,
-    }
+    let mut s = reduced_scenario(seed);
+    s.workload.assign_priorities(0.10, 0.70, 0.20, seed);
+    s.config.overload_sharing = sharing;
+    s
 }
 
 fn main() {

@@ -9,8 +9,7 @@
 use ecocloud::core::{AssignmentFunction, EcoCloudConfig, EcoCloudPolicy, MigrationFunctions};
 use ecocloud::metrics::table::fmt_num;
 use ecocloud::metrics::Table;
-use ecocloud::prelude::*;
-use ecocloud_experiments::{emit, fast_mode, seed};
+use ecocloud_experiments::{emit, reduced_scenario, seed};
 
 #[derive(Debug, Clone, Copy)]
 struct Point {
@@ -19,27 +18,6 @@ struct Point {
     th: f64,
     alpha: f64,
     beta: f64,
-}
-
-fn sweep_scenario(seed: u64) -> Scenario {
-    let (n_vms, n_servers, hours) = if fast_mode() {
-        (400, 30, 6)
-    } else {
-        (1500, 100, 24)
-    };
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.record_server_utilization = false; // memory over the grid
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
 }
 
 fn main() {
@@ -86,7 +64,7 @@ fn main() {
     let rows: Vec<(Point, _)> = points
         .iter()
         .map(|&pt| {
-            let scenario = sweep_scenario(seed);
+            let scenario = reduced_scenario(seed);
             let cfg = EcoCloudConfig {
                 assignment: AssignmentFunction::new(0.9, pt.p),
                 migration: MigrationFunctions::new(pt.tl, pt.th, pt.alpha, pt.beta),

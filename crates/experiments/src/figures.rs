@@ -93,19 +93,12 @@ mod tests {
     use ecocloud::prelude::*;
 
     fn tiny_result() -> SimResult {
-        let traces = TraceSet::generate(TraceConfig {
+        let traces = TraceConfig {
             n_vms: 40,
             duration_secs: 2 * 3600,
             ..TraceConfig::small(5)
-        });
-        let mut config = SimConfig::paper_48h(5);
-        config.duration_secs = 2.0 * 3600.0;
-        let scenario = Scenario {
-            fleet: Fleet::thirds(12),
-            workload: Workload::all_vms_from_start(traces),
-            config,
         };
-        scenario.run(EcoCloudPolicy::paper(5))
+        Scenario::closed_system(Fleet::thirds(12), traces).run(EcoCloudPolicy::paper(5))
     }
 
     #[test]

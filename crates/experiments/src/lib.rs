@@ -25,7 +25,7 @@ use ecocloud::sweep::{
     SweepAggregate,
 };
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub mod figures;
 pub mod gnuplot;
@@ -80,35 +80,47 @@ fn workers() -> usize {
 /// The §III scenario (or its fast-mode downscale).
 pub fn scenario_48h(seed: u64) -> Scenario {
     if fast_mode() {
-        let traces = TraceSet::generate(TraceConfig {
-            n_vms: 600,
-            duration_secs: 12 * 3600,
-            ..TraceConfig::paper_48h(seed)
-        });
-        let mut config = SimConfig::paper_48h(seed);
-        config.duration_secs = 12.0 * 3600.0;
-        Scenario {
-            fleet: Fleet::thirds(40),
-            workload: Workload::all_vms_from_start(traces),
-            config,
-        }
+        Scenario::closed_system(
+            Fleet::thirds(40),
+            TraceConfig {
+                n_vms: 600,
+                duration_secs: 12 * 3600,
+                ..TraceConfig::paper_48h(seed)
+            },
+        )
     } else {
         Scenario::paper_48h(seed)
     }
 }
 
-/// The §IV scenario (or its fast-mode downscale).
+/// The §IV scenario (or its fast-mode downscale to 6 hours).
 pub fn scenario_fig12(seed: u64) -> Scenario {
     if fast_mode() {
-        let mut s = Scenario::paper_fig12(seed);
-        s.config.duration_secs = 6.0 * 3600.0;
-        s.workload
-            .spawns
-            .retain(|sp| sp.arrive_secs <= 6.0 * 3600.0);
-        s
+        ScenarioSpec::PaperFig12 { hours: 6 }.build(seed)
     } else {
         Scenario::paper_fig12(seed)
     }
+}
+
+/// The reduced closed-system scenario of the ablation, sensitivity,
+/// RAM and priority studies: 100 servers, 1,500 VMs, 24 h (30, 400
+/// and 6 h in fast mode), per-server utilization not recorded.
+pub fn reduced_scenario(seed: u64) -> Scenario {
+    let (n_vms, n_servers, hours) = if fast_mode() {
+        (400, 30, 6)
+    } else {
+        (1500, 100, 24)
+    };
+    let mut s = Scenario::closed_system(
+        Fleet::thirds(n_servers),
+        TraceConfig {
+            n_vms,
+            duration_secs: hours * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    );
+    s.config.record_server_utilization = false;
+    s
 }
 
 /// The [`RunSpec`] describing the (possibly fast-mode) 48-hour setup
@@ -259,9 +271,4 @@ pub fn pm(r: &ecocloud::metrics::Replication, digits: usize) -> String {
         ecocloud::metrics::table::fmt_num(r.mean(), digits),
         ecocloud::metrics::table::fmt_num(r.ci95_half_width(), digits)
     )
-}
-
-/// Convenience: does a file exist under `out/`?
-pub fn out_exists(file: &str) -> bool {
-    Path::new(&out_dir()).join(file).exists()
 }

@@ -17,18 +17,14 @@ fn main() {
         .unwrap_or(42);
 
     // A mid-size scenario so the example finishes in seconds.
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 1500,
-        duration_secs: 24 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 24.0 * 3600.0;
-    let scenario = Scenario {
-        fleet: Fleet::thirds(100),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    };
+    let scenario = Scenario::closed_system(
+        Fleet::thirds(100),
+        TraceConfig {
+            n_vms: 1500,
+            duration_secs: 24 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    );
 
     let mut table = Table::new([
         "policy",

@@ -65,18 +65,14 @@ fn main() {
     let seed = 42;
     // A full day so the day/night cycle exposes the difference between
     // a policy that can re-consolidate and one that cannot.
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 600,
-        duration_secs: 24 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 24.0 * 3600.0;
-    let scenario = Scenario {
-        fleet: Fleet::thirds(40),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    };
+    let scenario = Scenario::closed_system(
+        Fleet::thirds(40),
+        TraceConfig {
+            n_vms: 600,
+            duration_secs: 24 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    );
 
     let eco = scenario.run(EcoCloudPolicy::paper(seed));
     let custom = scenario.run(EfficientWorstFit { ta: 0.9 });

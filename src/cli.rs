@@ -1,30 +1,22 @@
 //! Command-line interface (the `ecocloud-cli` binary).
 //!
 //! Hand-rolled argument parsing (no CLI dependency) kept in the
-//! library so it is unit-testable. Supported commands:
-//!
-//! ```text
-//! ecocloud-cli run   [--servers N] [--vms N] [--hours H] [--policy P]
-//!                    [--seed S] [--cores C] [--no-migrations]
-//!                    [--events]
-//! ecocloud-cli compare [--servers N] [--vms N] [--hours H] [--seed S]
-//! ecocloud-cli trace-gen --out FILE [--vms N] [--hours H] [--seed S]
-//! ecocloud-cli trace-stats FILE
-//! ```
+//! library so it is unit-testable. [`USAGE`] lists every command and
+//! flag. Each command builds its runs through the library's one path:
+//! a [`ScenarioSpec`] for the scenario and a [`PolicySpec`] for the
+//! policy, the same values the `sweep` command caches.
 
 use crate::scenarios::{ChurnKind, Scenario, DEFAULT_CHURN_SHARE};
-use crate::sweep::{self, ArtifactCache, PolicySpec, ScenarioSpec};
-use dcsim::{
-    Checkpoint, ControlPlaneConfig, FaultConfig, Fleet, Policy, SimConfig, SimResult, Simulation,
-    Workload,
-};
-use ecocloud_baselines::{BestFitPolicy, FirstFitPolicy, RandomPolicy};
-use ecocloud_core::EcoCloudPolicy;
+use crate::sweep::{self, onoff, ArtifactCache, PolicySpec, ScenarioSpec};
+use dcsim::{ControlPlaneConfig, SimResult};
 use ecocloud_metrics::sparkline;
 use ecocloud_metrics::table::fmt_num;
 use ecocloud_metrics::Table;
 use ecocloud_traces::{TraceConfig, TraceSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+
+// Re-exported for callers that resolve profile names through the CLI.
+pub use crate::scenarios::{control_plane_profile, fault_profile};
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +63,26 @@ pub struct ScenarioArgs {
     pub hours: u64,
     /// Master seed.
     pub seed: u64,
+}
+
+impl ScenarioArgs {
+    /// The [`ScenarioSpec::Custom`] with these dimensions.
+    fn spec(
+        &self,
+        migrations: bool,
+        server_utilization: bool,
+        churn: Option<(ChurnKind, u8)>,
+    ) -> ScenarioSpec {
+        ScenarioSpec::Custom {
+            servers: self.servers,
+            cores: self.cores,
+            vms: self.vms,
+            hours: self.hours,
+            migrations,
+            server_utilization,
+            churn,
+        }
+    }
 }
 
 impl Default for ScenarioArgs {
@@ -184,7 +196,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Ok(Command::Help);
     };
     let mut scenario = ScenarioArgs::default();
-    let mut policy = "ecocloud".to_string();
+    let mut policy = PolicySpec::EcoCloud.name().to_string();
     let mut no_migrations = false;
     let mut events = false;
     let mut faults = "off".to_string();
@@ -359,83 +371,34 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Builds the scenario described by the arguments.
-pub fn build_scenario(a: &ScenarioArgs, no_migrations: bool, events: bool) -> Scenario {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: a.vms,
-        duration_secs: a.hours * 3600,
-        ..TraceConfig::paper_48h(a.seed)
-    });
-    let mut config = SimConfig::paper_48h(a.seed);
-    config.duration_secs = (a.hours * 3600) as f64;
-    config.migrations_enabled = !no_migrations;
-    config.record_events = events;
-    let fleet = match a.cores {
-        Some(c) => Fleet::uniform(a.servers, c),
-        None => Fleet::thirds(a.servers),
-    };
-    Scenario {
-        fleet,
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
-}
-
-/// Builds the open-system variant of the scenario described by the
-/// arguments: `vms` becomes the daily-mean churn population and the
-/// diurnal swing is split per `churn_share` (see
-/// [`crate::scenarios::Scenario::open_system`]).
-pub fn build_scenario_open(
-    a: &ScenarioArgs,
-    no_migrations: bool,
-    events: bool,
-    kind: ChurnKind,
-    churn_share: f64,
-) -> Scenario {
-    let fleet = match a.cores {
-        Some(c) => Fleet::uniform(a.servers, c),
-        None => Fleet::thirds(a.servers),
-    };
-    let mut s = Scenario::open_system(fleet, a.vms, a.hours, a.seed, kind, churn_share);
-    s.config.migrations_enabled = !no_migrations;
-    s.config.record_events = events;
-    s
-}
-
 /// Validates `--churn-share` and converts it to the integer percent
-/// the cache key carries.
+/// the cache key and the snapshot spec carry. A share between two
+/// whole percents is rejected rather than rounded: the run uses
+/// exactly the share its spec records.
 fn churn_share_pct(share: f64) -> Result<u8, String> {
     if !share.is_finite() || !(0.0..=1.0).contains(&share) {
         return Err(format!("--churn-share must be in [0, 1], got {share}"));
     }
-    Ok((share * 100.0).round() as u8)
-}
-
-/// Resolves a fault-profile name to a [`FaultConfig`] seeded with the
-/// scenario seed.
-pub fn fault_profile(name: &str, seed: u64) -> Result<FaultConfig, String> {
-    match name {
-        "off" | "none" => Ok(FaultConfig::none()),
-        "light" => Ok(FaultConfig::light(seed)),
-        "moderate" => Ok(FaultConfig::moderate(seed)),
-        "chaos" => Ok(FaultConfig::chaos(seed)),
-        other => Err(format!(
-            "unknown fault profile '{other}' (off|light|moderate|chaos)"
-        )),
+    let pct = (share * 100.0).round() as u8;
+    if f64::from(pct) / 100.0 != share {
+        return Err(format!(
+            "--churn-share must be a whole percent (such as 0.25), got {share}"
+        ));
     }
+    Ok(pct)
 }
 
-/// Resolves a control-plane profile name to a [`ControlPlaneConfig`]
-/// seeded with the scenario seed.
-pub fn control_plane_profile(name: &str, seed: u64) -> Result<ControlPlaneConfig, String> {
+/// Resolves a `--churn` kind applied to the command's own dimensions:
+/// `None` for `off`, else the kind and its share in whole percent.
+/// `choices` ends the error message for an unknown name.
+fn churn_kind(name: &str, share: f64, choices: &str) -> Result<Option<(ChurnKind, u8)>, String> {
     match name {
-        "off" | "none" => Ok(ControlPlaneConfig::off()),
-        "ideal" => Ok(ControlPlaneConfig::ideal(seed)),
-        "lan" => Ok(ControlPlaneConfig::lan(seed)),
-        "lossy" => Ok(ControlPlaneConfig::lossy(seed)),
-        other => Err(format!(
-            "unknown control-plane profile '{other}' (off|ideal|lan|lossy)"
-        )),
+        "off" | "none" => Ok(None),
+        other => {
+            let kind = ChurnKind::parse(other)
+                .map_err(|_| format!("unknown churn profile '{other}' {choices}"))?;
+            Ok(Some((kind, churn_share_pct(share)?)))
+        }
     }
 }
 
@@ -445,13 +408,6 @@ pub fn control_plane_profile(name: &str, seed: u64) -> Result<ControlPlaneConfig
 /// deterministic trajectory must appear here. The format is pinned by
 /// a test: extend it, never reorder or drop fields.
 pub fn run_spec_canonical(args: &RunArgs) -> String {
-    fn onoff(b: bool) -> &'static str {
-        if b {
-            "on"
-        } else {
-            "off"
-        }
-    }
     format!(
         "run(servers={},cores={},vms={},hours={},seed={},policy={},migrations={},events={},faults={},control={},churn={},share={})",
         args.scenario.servers,
@@ -471,131 +427,49 @@ pub fn run_spec_canonical(args: &RunArgs) -> String {
     )
 }
 
-/// Drives one simulation to completion, optionally resuming from a
-/// snapshot and optionally writing crash-safe snapshots on a fixed
-/// simulated-time cadence. All progress goes to stderr: stdout stays
-/// byte-identical between a straight run and any checkpointed /
-/// resumed execution of the same spec.
-fn run_with_checkpoints<P: Policy>(
-    scenario: &Scenario,
-    policy: P,
-    spec: &str,
-    every_secs: Option<f64>,
-    ckpt_path: Option<&Path>,
-    resume: Option<&Path>,
-) -> Result<SimResult, String> {
-    let (mut sim, mut seq) = match resume {
-        Some(path) => {
-            let (ckpt, loaded_from, skipped) = Checkpoint::read_with_fallback(path)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
-            if let Some(err) = skipped {
-                eprintln!(
-                    "[checkpoint] skipped unusable snapshot {}: {err}",
-                    path.display()
-                );
-            }
-            let sim = Simulation::restore_from(
-                scenario.fleet.clone(),
-                scenario.workload.clone(),
-                scenario.config.clone(),
-                policy,
-                &ckpt,
-                spec,
-            )
-            .map_err(|e| format!("cannot resume from {}: {e}", loaded_from.display()))?;
-            eprintln!(
-                "[checkpoint] resumed snapshot #{} from {} at t = {} s",
-                ckpt.seq,
-                loaded_from.display(),
-                ckpt.sim_time_secs
-            );
-            (sim, ckpt.seq + 1)
-        }
-        None => (
-            Simulation::new(
-                scenario.fleet.clone(),
-                scenario.workload.clone(),
-                scenario.config.clone(),
-                policy,
-            ),
-            0,
-        ),
-    };
-    if let (Some(every), Some(path)) = (every_secs, ckpt_path) {
-        // First boundary strictly ahead of the current clock, so a
-        // resumed run never rewrites the snapshot it came from.
-        let mut next = every * ((sim.now() / every).floor() + 1.0);
-        while sim.step().is_some() {
-            while sim.now() >= next {
-                sim.checkpoint(spec, seq)
-                    .write_atomic(path)
-                    .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
-                eprintln!(
-                    "[checkpoint] wrote snapshot #{seq} at t = {} s to {}",
-                    sim.now(),
-                    path.display()
-                );
-                seq += 1;
-                next += every;
-            }
-        }
+/// Builds the `run` command's scenario and runs it, resuming and
+/// writing snapshots as the arguments ask.
+fn run(args: &RunArgs) -> Result<SimResult, String> {
+    let policy = PolicySpec::parse(&args.policy)?;
+    let seed = args.scenario.seed;
+    let mut scenario = if args.churn == "paper" {
+        // Pins the full §III open-system experiment (400 servers,
+        // 6,000 mean VMs, 48 h) regardless of the dimension flags.
+        let share = f64::from(churn_share_pct(args.churn_share)?) / 100.0;
+        let mut s = Scenario::paper_48h_open(seed, ChurnKind::Steady, share);
+        s.config.migrations_enabled = !args.no_migrations;
+        s
     } else {
-        while sim.step().is_some() {}
-    }
-    Ok(sim.finish())
-}
-
-/// Resolves a policy name and runs it through
-/// `run_with_checkpoints`. Shared by the `run` command and the
-/// sweep engine's per-run snapshot path.
-pub fn run_policy_checkpointed(
-    scenario: &Scenario,
-    policy: &str,
-    seed: u64,
-    spec: &str,
-    every_secs: Option<f64>,
-    ckpt_path: Option<&Path>,
-    resume: Option<&Path>,
-) -> Result<SimResult, String> {
-    match policy {
-        "ecocloud" => run_with_checkpoints(
-            scenario,
-            EcoCloudPolicy::paper(seed),
-            spec,
-            every_secs,
-            ckpt_path,
-            resume,
-        ),
-        "best-fit" => run_with_checkpoints(
-            scenario,
-            BestFitPolicy::paper(),
-            spec,
-            every_secs,
-            ckpt_path,
-            resume,
-        ),
-        "first-fit" => run_with_checkpoints(
-            scenario,
-            FirstFitPolicy::paper(),
-            spec,
-            every_secs,
-            ckpt_path,
-            resume,
-        ),
-        "random" => run_with_checkpoints(
-            scenario,
-            RandomPolicy::new(0.9, seed),
-            spec,
-            every_secs,
-            ckpt_path,
-            resume,
-        ),
-        other => Err(format!("unknown policy '{other}'")),
-    }
-}
-
-fn run_policy(scenario: &Scenario, policy: &str, seed: u64) -> Result<SimResult, String> {
-    run_policy_checkpointed(scenario, policy, seed, "", None, None, None)
+        let churn = churn_kind(
+            &args.churn,
+            args.churn_share,
+            "(off|paper|steady|flash|batch|spot)",
+        )?;
+        args.scenario
+            .spec(!args.no_migrations, true, churn)
+            .build(seed)
+    };
+    scenario.config.record_events = args.events;
+    scenario.config.faults = fault_profile(&args.faults, seed)?;
+    scenario.config.control_plane = control_plane_profile(&args.control_plane, seed)?;
+    // Validate up front so a bad configuration exits cleanly naming the
+    // offending field instead of panicking inside the engine.
+    scenario.config.validate().map_err(|e| e.to_string())?;
+    eprintln!(
+        "running {} servers / {} VMs / {} h, policy {} ...",
+        scenario.fleet.len(),
+        scenario.workload.spawns.len(),
+        (scenario.config.duration_secs / 3600.0) as u64,
+        args.policy
+    );
+    policy.run(
+        &scenario,
+        seed,
+        &run_spec_canonical(args),
+        args.checkpoint_every_hours.map(|h| h * 3600.0),
+        args.checkpoint.as_deref(),
+        args.resume.as_deref(),
+    )
 }
 
 fn print_result(res: &mut SimResult) {
@@ -714,68 +588,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Run(args) => {
-            let mut scenario = match args.churn.as_str() {
-                "off" | "none" => build_scenario(&args.scenario, args.no_migrations, args.events),
-                "paper" => {
-                    // Pins the full §III open-system experiment
-                    // (400 servers, 6,000 mean VMs, 48 h) regardless of
-                    // the dimension flags.
-                    churn_share_pct(args.churn_share)?;
-                    let mut s = Scenario::paper_48h_open(
-                        args.scenario.seed,
-                        ChurnKind::Steady,
-                        args.churn_share,
-                    );
-                    s.config.migrations_enabled = !args.no_migrations;
-                    s.config.record_events = args.events;
-                    s
-                }
-                other => {
-                    let kind = ChurnKind::parse(other).map_err(|_| {
-                        format!(
-                            "unknown churn profile '{other}' \
-                             (off|paper|steady|flash|batch|spot)"
-                        )
-                    })?;
-                    churn_share_pct(args.churn_share)?;
-                    build_scenario_open(
-                        &args.scenario,
-                        args.no_migrations,
-                        args.events,
-                        kind,
-                        args.churn_share,
-                    )
-                }
-            };
-            scenario.config.faults = fault_profile(&args.faults, args.scenario.seed)?;
-            scenario.config.control_plane =
-                control_plane_profile(&args.control_plane, args.scenario.seed)?;
-            // Validate up front so a bad configuration exits cleanly
-            // naming the offending field instead of panicking inside
-            // the engine.
-            scenario.config.validate().map_err(|e| e.to_string())?;
-            eprintln!(
-                "running {} servers / {} VMs / {} h, policy {} ...",
-                scenario.fleet.len(),
-                scenario.workload.spawns.len(),
-                (scenario.config.duration_secs / 3600.0) as u64,
-                args.policy
-            );
-            let spec = run_spec_canonical(&args);
-            let mut res = run_policy_checkpointed(
-                &scenario,
-                &args.policy,
-                args.scenario.seed,
-                &spec,
-                args.checkpoint_every_hours.map(|h| h * 3600.0),
-                args.checkpoint.as_deref(),
-                args.resume.as_deref(),
-            )?;
-            print_result(&mut res);
+            print_result(&mut run(&args)?);
             Ok(())
         }
         Command::Compare(scenario_args) => {
-            let scenario = build_scenario(&scenario_args, false, false);
+            let seed = scenario_args.seed;
+            let scenario = scenario_args.spec(true, true, None).build(seed);
             let mut t = Table::new([
                 "policy",
                 "servers",
@@ -785,12 +603,11 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "overdemand%",
                 "dropped",
             ]);
-            for policy in ["ecocloud", "best-fit", "first-fit", "random"] {
-                eprintln!("running {policy} ...");
-                let res = run_policy(&scenario, policy, scenario_args.seed)?;
-                let s = res.summary;
+            for policy in PolicySpec::ALL {
+                eprintln!("running {} ...", policy.name());
+                let s = policy.run(&scenario, seed, "", None, None, None)?.summary;
                 t.push_row([
-                    policy.to_string(),
+                    policy.name().to_string(),
                     fmt_num(s.mean_active_servers, 1),
                     fmt_num(s.energy_kwh, 1),
                     format!("{}", s.total_low_migrations + s.total_high_migrations),
@@ -817,12 +634,14 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "lost",
                 "avail%",
             ]);
+            let seed = scenario_args.seed;
             for profile in ["off", "light", "moderate", "chaos"] {
                 eprintln!("running fault profile {profile} ...");
-                let mut scenario = build_scenario(&scenario_args, false, false);
-                scenario.config.faults = fault_profile(profile, scenario_args.seed)?;
-                let res = run_policy(&scenario, "ecocloud", scenario_args.seed)?;
-                let s = res.summary;
+                let mut scenario = scenario_args.spec(true, true, None).build(seed);
+                scenario.config.faults = fault_profile(profile, seed)?;
+                let s = PolicySpec::EcoCloud
+                    .run(&scenario, seed, "", None, None, None)?
+                    .summary;
                 let served = scenario_args.vms as u64 - s.dropped_vms;
                 let avail = if served > 0 {
                     100.0 * (served - s.vms_lost) as f64 / served as f64
@@ -859,14 +678,15 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "re-bcast",
                 "dropped",
             ]);
+            let seed = scenario_args.seed;
             for loss in [0.0, 0.01, 0.05, 0.2] {
                 eprintln!("running loss probability {} ...", loss);
-                let mut scenario = build_scenario(&scenario_args, false, false);
-                scenario.config.control_plane =
-                    ControlPlaneConfig::with_loss(loss, scenario_args.seed);
+                let mut scenario = scenario_args.spec(true, true, None).build(seed);
+                scenario.config.control_plane = ControlPlaneConfig::with_loss(loss, seed);
                 scenario.config.validate().map_err(|e| e.to_string())?;
-                let res = run_policy(&scenario, "ecocloud", scenario_args.seed)?;
-                let s = res.summary;
+                let s = PolicySpec::EcoCloud
+                    .run(&scenario, seed, "", None, None, None)?
+                    .summary;
                 t.push_row([
                     fmt_num(100.0 * loss, 0),
                     fmt_num(s.energy_kwh, 1),
@@ -883,27 +703,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Sweep(args) => {
-            let churn = match args.churn.as_str() {
-                "off" | "none" => None,
-                other => {
-                    let kind = ChurnKind::parse(other).map_err(|_| {
-                        format!(
-                            "unknown churn profile '{other}' for sweep \
-                             (off|steady|flash|batch|spot)"
-                        )
-                    })?;
-                    Some((kind, churn_share_pct(args.churn_share)?))
-                }
-            };
-            let scenario_spec = ScenarioSpec::Custom {
-                servers: args.scenario.servers,
-                cores: args.scenario.cores,
-                vms: args.scenario.vms,
-                hours: args.scenario.hours,
-                migrations: !args.no_migrations,
-                server_utilization: false,
-                churn,
-            };
+            let churn = churn_kind(
+                &args.churn,
+                args.churn_share,
+                "for sweep (off|steady|flash|batch|spot)",
+            )?;
+            let scenario_spec = args.scenario.spec(!args.no_migrations, false, churn);
             // Validate the profile names before any work happens.
             fault_profile(&args.faults, 0)?;
             control_plane_profile(&args.control_plane, 0)?;
@@ -1153,24 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn build_scenario_respects_dimensions() {
-        let a = ScenarioArgs {
-            servers: 12,
-            cores: Some(4),
-            vms: 30,
-            hours: 2,
-            seed: 5,
-        };
-        let s = build_scenario(&a, true, true);
-        assert_eq!(s.fleet.len(), 12);
-        assert!(s.fleet.specs.iter().all(|sp| sp.cores == 4));
-        assert_eq!(s.workload.spawns.len(), 30);
-        assert_eq!(s.config.duration_secs, 7200.0);
-        assert!(!s.config.migrations_enabled);
-        assert!(s.config.record_events);
-    }
-
-    #[test]
     fn run_command_executes_end_to_end() {
         let cmd = parse(&argv(
             "run --servers 6 --vms 30 --hours 1 --policy ecocloud --seed 3",
@@ -1342,20 +1129,61 @@ mod tests {
     }
 
     #[test]
-    fn build_scenario_open_respects_dimensions() {
-        let a = ScenarioArgs {
-            servers: 10,
-            cores: Some(6),
-            vms: 60,
-            hours: 2,
-            seed: 5,
-        };
-        let s = build_scenario_open(&a, true, false, ChurnKind::Steady, 0.5);
-        assert_eq!(s.fleet.len(), 10);
-        assert!(s.fleet.specs.iter().all(|sp| sp.cores == 6));
-        assert_eq!(s.config.duration_secs, 7200.0);
-        assert!(!s.config.migrations_enabled);
-        assert!(s.workload.wrap_traces);
+    fn churn_share_must_be_a_whole_percent() {
+        // The snapshot spec records the share in whole percent, so a
+        // share between two percents would run one trajectory under
+        // another's spec (and resume the other's snapshot).
+        let cmd = parse(&argv(
+            "run --servers 6 --vms 30 --hours 1 --churn steady --churn-share 0.255",
+        ))
+        .expect("parses");
+        let err = execute(cmd).expect_err("must fail");
+        assert!(
+            err.contains("--churn-share") && err.contains("0.255"),
+            "{err}"
+        );
+        let cmd =
+            parse(&argv("sweep --seeds 1 --churn steady --churn-share 0.255")).expect("parses");
+        assert!(execute(cmd).is_err(), "sweep must reject it too");
+        for share in [0.0, 0.07, 0.29, 0.6, 1.0] {
+            assert_eq!(
+                f64::from(churn_share_pct(share).expect("whole")) / 100.0,
+                share
+            );
+        }
+    }
+
+    #[test]
+    fn run_command_matches_run_spec_execute() {
+        // The CLI `run` path and the sweep's `RunSpec::execute` build
+        // the same scenario and run the same policy, so their summaries
+        // agree for closed and churned dimension sets alike.
+        for (line, churn) in [
+            (
+                "run --servers 8 --vms 40 --hours 2 --seed 6 --policy best-fit",
+                None,
+            ),
+            (
+                "run --servers 8 --vms 40 --hours 2 --seed 6 --churn spot --churn-share 0.5",
+                Some((ChurnKind::Spot, 50)),
+            ),
+        ] {
+            let Command::Run(args) = parse(&argv(line)).expect("parses") else {
+                panic!("wrong command");
+            };
+            let via_cli = run(&args).expect("cli run");
+            let spec = sweep::RunSpec::new(
+                args.scenario.spec(true, false, churn),
+                PolicySpec::parse(&args.policy).expect("policy"),
+                args.scenario.seed,
+            );
+            let via_spec = spec.execute().expect("spec run");
+            assert_eq!(
+                format!("{:?}", via_cli.summary),
+                format!("{:?}", via_spec.summary),
+                "{line}"
+            );
+        }
     }
 
     #[test]

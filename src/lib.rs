@@ -27,9 +27,11 @@
 //!
 //! ## Layer map
 //!
-//! * [`scenarios`] — ready-made [`Scenario`] builders (the paper's
-//!   §III/§IV setups, open-system churn variants, small smoke sizes).
-//! * [`sweep`] — the multi-seed replication driver: a policy × seed
+//! * [`scenarios`] — the [`Scenario`] constructors every run is built
+//!   with (closed and open systems, the paper's §III/§IV setups, small
+//!   smoke sizes) and the fault / control-plane profile names.
+//! * [`sweep`] — the run descriptions (`ScenarioSpec`, `PolicySpec`,
+//!   `RunSpec`) and the multi-seed replication driver: a policy × seed
 //!   grid on all cores with a content-addressed result cache.
 //! * [`parallel`] — the deterministic replica pool [`sweep`] runs on
 //!   (submission-order merge, scripted-scheduler audit seam).

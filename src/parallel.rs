@@ -100,19 +100,6 @@ where
         .collect()
 }
 
-/// Convenience: one replica per seed, `seeds[i] = base + i`, using all
-/// available parallelism.
-pub fn run_seeds<T, F>(base_seed: u64, replicas: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    let workers = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    run_replicas(replicas, workers, |i| job(base_seed + i as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,9 +145,9 @@ mod tests {
     fn parallel_simulations_match_sequential() {
         // Determinism survives the thread pool: each seed's result is
         // identical to running it alone.
-        let results = run_seeds(11, 3, |seed| {
-            let scenario = Scenario::small(seed);
-            let res = scenario.run(EcoCloudPolicy::paper(seed));
+        let results = run_replicas(3, 2, |i| {
+            let seed = 11 + i as u64;
+            let res = Scenario::small(seed).run(EcoCloudPolicy::paper(seed));
             (res.summary.energy_kwh, res.final_powered)
         });
         for (i, &(kwh, powered)) in results.iter().enumerate() {

@@ -1,6 +1,8 @@
 //! Ready-made experiment scenarios matching the paper's two setups.
 
-use dcsim::{Fleet, Policy, SimConfig, SimResult, Simulation, Workload};
+use dcsim::{
+    ControlPlaneConfig, FaultConfig, Fleet, Policy, SimConfig, SimResult, Simulation, Workload,
+};
 use ecocloud_traces::arrivals::ArrivalProcess;
 use ecocloud_traces::{Archetype, OpenSystemSpec, TraceConfig, TraceSet};
 
@@ -71,6 +73,34 @@ impl ChurnKind {
     }
 }
 
+/// Resolves a fault-profile name to a [`FaultConfig`] seeded with the
+/// scenario seed.
+pub fn fault_profile(name: &str, seed: u64) -> Result<FaultConfig, String> {
+    match name {
+        "off" | "none" => Ok(FaultConfig::none()),
+        "light" => Ok(FaultConfig::light(seed)),
+        "moderate" => Ok(FaultConfig::moderate(seed)),
+        "chaos" => Ok(FaultConfig::chaos(seed)),
+        other => Err(format!(
+            "unknown fault profile '{other}' (off|light|moderate|chaos)"
+        )),
+    }
+}
+
+/// Resolves a control-plane profile name to a [`ControlPlaneConfig`]
+/// seeded with the scenario seed.
+pub fn control_plane_profile(name: &str, seed: u64) -> Result<ControlPlaneConfig, String> {
+    match name {
+        "off" | "none" => Ok(ControlPlaneConfig::off()),
+        "ideal" => Ok(ControlPlaneConfig::ideal(seed)),
+        "lan" => Ok(ControlPlaneConfig::lan(seed)),
+        "lossy" => Ok(ControlPlaneConfig::lossy(seed)),
+        other => Err(format!(
+            "unknown control-plane profile '{other}' (off|ideal|lan|lossy)"
+        )),
+    }
+}
+
 /// A complete simulation setup: fleet + workload + kernel config.
 ///
 /// Scenarios are cheap to clone-and-tweak; `run` consumes nothing and
@@ -91,11 +121,19 @@ impl Scenario {
     /// The paper's §III scenario: 400 heterogeneous servers, 6,000
     /// trace-driven VMs, 48 hours starting at midnight, migrations on.
     pub fn paper_48h(seed: u64) -> Self {
-        let traces = TraceSet::generate(TraceConfig::paper_48h(seed));
+        Self::closed_system(Fleet::paper_400(), TraceConfig::paper_48h(seed))
+    }
+
+    /// A closed system: every VM of the generated trace set is present
+    /// from t = 0 and stays to the end. The kernel runs the paper's
+    /// config with the trace seed, and the horizon is the trace length.
+    pub fn closed_system(fleet: Fleet, traces: TraceConfig) -> Self {
+        let mut config = SimConfig::paper_48h(traces.seed);
+        config.duration_secs = traces.duration_secs as f64;
         Self {
-            fleet: Fleet::paper_400(),
-            workload: Workload::all_vms_from_start(traces),
-            config: SimConfig::paper_48h(seed),
+            fleet,
+            workload: Workload::all_vms_from_start(TraceSet::generate(traces)),
+            config,
         }
     }
 
@@ -160,18 +198,14 @@ impl Scenario {
     /// A laptop-scale smoke scenario (40 servers, 600 VMs, 6 hours)
     /// for tests, docs and the quickstart example.
     pub fn small(seed: u64) -> Self {
-        let traces = TraceSet::generate(TraceConfig {
-            n_vms: 600,
-            duration_secs: 6 * 3600,
-            ..TraceConfig::small(seed)
-        });
-        let mut config = SimConfig::paper_48h(seed);
-        config.duration_secs = 6.0 * 3600.0;
-        Self {
-            fleet: Fleet::thirds(40),
-            workload: Workload::all_vms_from_start(traces),
-            config,
-        }
+        Self::closed_system(
+            Fleet::thirds(40),
+            TraceConfig {
+                n_vms: 600,
+                duration_secs: 6 * 3600,
+                ..TraceConfig::small(seed)
+            },
+        )
     }
 
     /// Runs the scenario under `policy`.
@@ -238,6 +272,20 @@ mod tests {
         assert_eq!(f.fleet.len(), 100);
         assert_eq!(f.workload.initial_count(), 1500);
         assert!(!f.config.migrations_enabled);
+
+        // A closed system's horizon is its trace length and its kernel
+        // seed is its trace seed.
+        let c = Scenario::closed_system(
+            Fleet::thirds(5),
+            TraceConfig {
+                n_vms: 10,
+                duration_secs: 3 * 3600,
+                ..TraceConfig::small(9)
+            },
+        );
+        assert_eq!(c.workload.initial_count(), 10);
+        assert_eq!(c.config.duration_secs, 3.0 * 3600.0);
+        assert_eq!(c.config.seed, 9);
     }
 
     #[test]

@@ -57,13 +57,15 @@
 //! assert!(a.metric("energy_kwh").unwrap().mean() > 0.0);
 //! ```
 
-use crate::cli;
 use crate::parallel::run_replicas;
-use crate::scenarios::{ChurnKind, Scenario};
+use crate::scenarios::{control_plane_profile, fault_profile, ChurnKind, Scenario};
 use dcsim::stats::SimSummary;
-use dcsim::SimResult;
+use dcsim::{Checkpoint, Fleet, Policy, SimResult, Simulation};
+use ecocloud_baselines::{BestFitPolicy, FirstFitPolicy, RandomPolicy};
+use ecocloud_core::EcoCloudPolicy;
 use ecocloud_metrics::replication::{EnsembleSeries, Replication};
 use ecocloud_metrics::TimeSeries;
+use ecocloud_traces::TraceConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,23 +155,27 @@ impl ScenarioSpec {
                 server_utilization,
                 churn,
             } => {
-                let args = cli::ScenarioArgs {
-                    servers: *servers,
-                    cores: *cores,
-                    vms: *vms,
-                    hours: *hours,
-                    seed,
-                };
+                let fleet =
+                    cores.map_or_else(|| Fleet::thirds(*servers), |c| Fleet::uniform(*servers, c));
                 let mut s = match churn {
-                    None => cli::build_scenario(&args, !*migrations, false),
-                    Some((kind, pct)) => cli::build_scenario_open(
-                        &args,
-                        !*migrations,
-                        false,
+                    None => Scenario::closed_system(
+                        fleet,
+                        TraceConfig {
+                            n_vms: *vms,
+                            duration_secs: hours * 3600,
+                            ..TraceConfig::paper_48h(seed)
+                        },
+                    ),
+                    Some((kind, pct)) => Scenario::open_system(
+                        fleet,
+                        *vms,
+                        *hours,
+                        seed,
                         *kind,
                         f64::from(*pct) / 100.0,
                     ),
                 };
+                s.config.migrations_enabled = *migrations;
                 s.config.record_server_utilization = *server_utilization;
                 s
             }
@@ -177,7 +183,8 @@ impl ScenarioSpec {
     }
 }
 
-fn onoff(b: bool) -> &'static str {
+/// `on`/`off` token of a flag in a canonical string.
+pub(crate) fn onoff(b: bool) -> &'static str {
     if b {
         "on"
     } else {
@@ -199,6 +206,9 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
+    /// Every built-in policy, in the order `compare` tabulates them.
+    pub const ALL: [Self; 4] = [Self::EcoCloud, Self::BestFit, Self::FirstFit, Self::Random];
+
     /// CLI name of the policy (also the canonical-string token).
     pub fn name(self) -> &'static str {
         match self {
@@ -221,6 +231,107 @@ impl PolicySpec {
             )),
         }
     }
+
+    /// Runs `scenario` under this policy, seeded with `seed`. The run
+    /// resumes from the snapshot at `resume` when given, and writes
+    /// snapshots stamped with `spec` to `ckpt_path` every `every_secs`
+    /// of simulated time when both are given. All progress goes to
+    /// stderr.
+    pub fn run(
+        self,
+        scenario: &Scenario,
+        seed: u64,
+        spec: &str,
+        every_secs: Option<f64>,
+        ckpt_path: Option<&Path>,
+        resume: Option<&Path>,
+    ) -> Result<SimResult, String> {
+        macro_rules! run {
+            ($policy:expr) => {
+                run_with_checkpoints(scenario, $policy, spec, every_secs, ckpt_path, resume)
+            };
+        }
+        match self {
+            Self::EcoCloud => run!(EcoCloudPolicy::paper(seed)),
+            Self::BestFit => run!(BestFitPolicy::paper()),
+            Self::FirstFit => run!(FirstFitPolicy::paper()),
+            Self::Random => run!(RandomPolicy::new(0.9, seed)),
+        }
+    }
+}
+
+/// Drives one simulation to completion, optionally resuming from a
+/// snapshot and optionally writing crash-safe snapshots on a fixed
+/// simulated-time cadence. All progress goes to stderr: stdout stays
+/// byte-identical between a straight run and any checkpointed /
+/// resumed execution of the same spec.
+fn run_with_checkpoints<P: Policy>(
+    scenario: &Scenario,
+    policy: P,
+    spec: &str,
+    every_secs: Option<f64>,
+    ckpt_path: Option<&Path>,
+    resume: Option<&Path>,
+) -> Result<SimResult, String> {
+    let (mut sim, mut seq) = match resume {
+        Some(path) => {
+            let (ckpt, loaded_from, skipped) = Checkpoint::read_with_fallback(path)
+                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
+            if let Some(err) = skipped {
+                eprintln!(
+                    "[checkpoint] skipped unusable snapshot {}: {err}",
+                    path.display()
+                );
+            }
+            let sim = Simulation::restore_from(
+                scenario.fleet.clone(),
+                scenario.workload.clone(),
+                scenario.config.clone(),
+                policy,
+                &ckpt,
+                spec,
+            )
+            .map_err(|e| format!("cannot resume from {}: {e}", loaded_from.display()))?;
+            eprintln!(
+                "[checkpoint] resumed snapshot #{} from {} at t = {} s",
+                ckpt.seq,
+                loaded_from.display(),
+                ckpt.sim_time_secs
+            );
+            (sim, ckpt.seq + 1)
+        }
+        None => (
+            Simulation::new(
+                scenario.fleet.clone(),
+                scenario.workload.clone(),
+                scenario.config.clone(),
+                policy,
+            ),
+            0,
+        ),
+    };
+    if let (Some(every), Some(path)) = (every_secs, ckpt_path) {
+        // First boundary strictly ahead of the current clock, so a
+        // resumed run never rewrites the snapshot it came from.
+        let mut next = every * ((sim.now() / every).floor() + 1.0);
+        while sim.step().is_some() {
+            while sim.now() >= next {
+                sim.checkpoint(spec, seq)
+                    .write_atomic(path)
+                    .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
+                eprintln!(
+                    "[checkpoint] wrote snapshot #{seq} at t = {} s to {}",
+                    sim.now(),
+                    path.display()
+                );
+                seq += 1;
+                next += every;
+            }
+        }
+    } else {
+        while sim.step().is_some() {}
+    }
+    Ok(sim.finish())
 }
 
 /// A complete, hashable description of one simulation run.
@@ -316,22 +427,15 @@ impl RunSpec {
         every_secs: Option<f64>,
     ) -> Result<RunArtifact, String> {
         let mut scenario = self.scenario.build(self.seed);
-        scenario.config.faults = cli::fault_profile(&self.faults, self.seed)?;
-        scenario.config.control_plane = cli::control_plane_profile(&self.control_plane, self.seed)?;
+        scenario.config.faults = fault_profile(&self.faults, self.seed)?;
+        scenario.config.control_plane = control_plane_profile(&self.control_plane, self.seed)?;
         scenario.config.validate().map_err(|e| e.to_string())?;
         let hours = (scenario.config.duration_secs / 3600.0).ceil() as usize;
         let spec = self.canonical();
         let resume = ckpt_path.filter(|p| p.exists());
         let run = |resume: Option<&Path>| {
-            cli::run_policy_checkpointed(
-                &scenario,
-                self.policy.name(),
-                self.seed,
-                &spec,
-                every_secs,
-                ckpt_path,
-                resume,
-            )
+            self.policy
+                .run(&scenario, self.seed, &spec, every_secs, ckpt_path, resume)
         };
         let mut result = match run(resume) {
             Ok(r) => r,
@@ -1026,6 +1130,43 @@ mod tests {
             spec.artifact_name(),
             "ecocloud-s42-8b131df3a19a1575.ecor"
         );
+    }
+
+    #[test]
+    fn custom_spec_respects_dimensions() {
+        let closed = ScenarioSpec::Custom {
+            servers: 12,
+            cores: Some(4),
+            vms: 30,
+            hours: 2,
+            migrations: false,
+            server_utilization: true,
+            churn: None,
+        }
+        .build(5);
+        assert_eq!(closed.fleet.len(), 12);
+        assert!(closed.fleet.specs.iter().all(|sp| sp.cores == 4));
+        assert_eq!(closed.workload.spawns.len(), 30);
+        assert_eq!(closed.config.duration_secs, 7200.0);
+        assert!(!closed.config.migrations_enabled);
+        assert!(closed.config.record_server_utilization);
+
+        let open = ScenarioSpec::Custom {
+            servers: 10,
+            cores: Some(6),
+            vms: 60,
+            hours: 2,
+            migrations: false,
+            server_utilization: false,
+            churn: Some((ChurnKind::Steady, 50)),
+        }
+        .build(5);
+        assert_eq!(open.fleet.len(), 10);
+        assert!(open.fleet.specs.iter().all(|sp| sp.cores == 6));
+        assert_eq!(open.config.duration_secs, 7200.0);
+        assert!(!open.config.migrations_enabled);
+        assert!(!open.config.record_server_utilization);
+        assert!(open.workload.wrap_traces);
     }
 
     #[test]

@@ -105,18 +105,14 @@ fn assert_resume_equivalent<P: Policy, F: Fn() -> P>(label: &str, scenario: &Sce
 
 /// A small closed-system scenario (12 servers, 60 VMs, 4 h).
 fn closed(seed: u64) -> Scenario {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 60,
-        duration_secs: 4 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 4.0 * 3600.0;
-    Scenario {
-        fleet: Fleet::thirds(12),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
+    Scenario::closed_system(
+        Fleet::thirds(12),
+        TraceConfig {
+            n_vms: 60,
+            duration_secs: 4 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    )
 }
 
 #[test]

@@ -119,21 +119,17 @@ fn heavy_loss_degrades_gracefully_under_chaos_faults() {
     // both conservation laws (plus VM conservation, checked by the
     // engine's own debug asserts in `finish`).
     for seed in [3u64, 11] {
-        let traces = TraceSet::generate(TraceConfig {
-            n_vms: 120,
-            duration_secs: 3 * 3600,
-            ..TraceConfig::small(seed)
-        });
-        let mut config = SimConfig::paper_48h(seed);
-        config.duration_secs = 3.0 * 3600.0;
-        config.record_server_utilization = false;
-        config.faults = FaultConfig::chaos(seed);
-        config.control_plane = ControlPlaneConfig::with_loss(0.2, seed);
-        let s = Scenario {
-            fleet: Fleet::thirds(10),
-            workload: Workload::all_vms_from_start(traces),
-            config,
-        };
+        let mut s = Scenario::closed_system(
+            Fleet::thirds(10),
+            TraceConfig {
+                n_vms: 120,
+                duration_secs: 3 * 3600,
+                ..TraceConfig::small(seed)
+            },
+        );
+        s.config.record_server_utilization = false;
+        s.config.faults = FaultConfig::chaos(seed);
+        s.config.control_plane = ControlPlaneConfig::with_loss(0.2, seed);
         let res = s.run(EcoCloudPolicy::paper(seed));
         assert_conservation(&res.summary);
         assert!(res.summary.exchanges_started > 0);

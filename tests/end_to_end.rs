@@ -9,18 +9,14 @@ use ecocloud::traces::arrivals::{ArrivalProcess, RateEstimate};
 /// A 30-server / 450-VM / 12-hour scenario — small enough for CI,
 /// large enough to show consolidation and the diurnal response.
 fn mini_48h(seed: u64) -> Scenario {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 450,
-        duration_secs: 12 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 12.0 * 3600.0;
-    Scenario {
-        fleet: Fleet::thirds(30),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
+    Scenario::closed_system(
+        Fleet::thirds(30),
+        TraceConfig {
+            n_vms: 450,
+            duration_secs: 12 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    )
 }
 
 #[test]
@@ -229,21 +225,18 @@ fn ram_constraint_caps_memory_commitment() {
     use ecocloud::core::{EcoCloudConfig, EcoCloudPolicy};
     let seed = 9;
     let build = |ram_aware: bool| {
-        let traces = TraceSet::generate(TraceConfig {
-            n_vms: 400,
-            duration_secs: 6 * 3600,
-            ..TraceConfig::paper_48h(seed)
-        });
-        let mut workload = Workload::all_vms_from_start(traces);
-        workload.assign_ram_demands(1024.0, 0.8, 8192.0, seed);
-        let mut config = SimConfig::paper_48h(seed);
-        config.duration_secs = 6.0 * 3600.0;
-        config.record_server_utilization = false;
-        let scenario = Scenario {
-            fleet: Fleet::thirds(60),
-            workload,
-            config,
-        };
+        let mut scenario = Scenario::closed_system(
+            Fleet::thirds(60),
+            TraceConfig {
+                n_vms: 400,
+                duration_secs: 6 * 3600,
+                ..TraceConfig::paper_48h(seed)
+            },
+        );
+        scenario
+            .workload
+            .assign_ram_demands(1024.0, 0.8, 8192.0, seed);
+        scenario.config.record_server_utilization = false;
         let mut cfg = EcoCloudConfig::paper(seed);
         cfg.ram_aware = ram_aware;
         scenario.run(EcoCloudPolicy::new(cfg))
@@ -269,18 +262,14 @@ fn rejects_when_whole_fleet_is_saturated() {
     // A fleet far too small for the workload: drops must be reported,
     // not silently discarded, and nothing may crash.
     let seed = 8;
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 2000,
-        duration_secs: 2 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 2.0 * 3600.0;
-    let scenario = Scenario {
-        fleet: Fleet::uniform(3, 4),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    };
+    let scenario = Scenario::closed_system(
+        Fleet::uniform(3, 4),
+        TraceConfig {
+            n_vms: 2000,
+            duration_secs: 2 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    );
     let res = scenario.run(EcoCloudPolicy::paper(seed));
     assert!(
         res.summary.dropped_vms > 0,
@@ -300,20 +289,16 @@ fn rejects_when_whole_fleet_is_saturated() {
 #[test]
 fn calendar_queue_matches_reference_heap_engine() {
     let seed = 42;
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms: 1600,
-        duration_secs: 3 * 3600,
-        ..TraceConfig::paper_48h(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 3.0 * 3600.0;
-    config.metrics_interval_secs = 300.0;
-    let res = Scenario {
-        fleet: Fleet::thirds(800),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
-    .run(EcoCloudPolicy::paper(seed));
+    let mut scenario = Scenario::closed_system(
+        Fleet::thirds(800),
+        TraceConfig {
+            n_vms: 1600,
+            duration_secs: 3 * 3600,
+            ..TraceConfig::paper_48h(seed)
+        },
+    );
+    scenario.config.metrics_interval_secs = 300.0;
+    let res = scenario.run(EcoCloudPolicy::paper(seed));
     // Guard against a vacuous pass: the run must have done real work.
     assert!(res.summary.energy_kwh > 1.0, "run produced no energy");
     assert!(

@@ -100,24 +100,23 @@ fn build_sim(
     seed: u64,
     faults: FaultConfig,
 ) -> (usize, Simulation<EcoCloudPolicy>) {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: 2 * 3600,
-        ..TraceConfig::small(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = 2.0 * 3600.0;
+    let Scenario {
+        fleet,
+        workload,
+        mut config,
+    } = Scenario::closed_system(
+        Fleet::thirds(n_servers),
+        TraceConfig {
+            n_vms,
+            duration_secs: 2 * 3600,
+            ..TraceConfig::small(seed)
+        },
+    );
     config.record_server_utilization = false;
     config.record_events = true;
     config.faults = faults;
-    let workload = Workload::all_vms_from_start(traces);
     let spawned = workload.spawns.len();
-    let sim = Simulation::new(
-        Fleet::thirds(n_servers),
-        workload,
-        config,
-        EcoCloudPolicy::paper(seed),
-    );
+    let sim = Simulation::new(fleet, workload, config, EcoCloudPolicy::paper(seed));
     (spawned, sim)
 }
 

@@ -10,20 +10,17 @@ use ecocloud_rng::{Rng, SeedableRng, StdRng};
 
 /// Builds a scenario from fuzzed dimensions.
 fn scenario(n_servers: usize, n_vms: usize, hours: u64, seed: u64, migrations: bool) -> Scenario {
-    let traces = TraceSet::generate(TraceConfig {
-        n_vms,
-        duration_secs: hours * 3600,
-        ..TraceConfig::small(seed)
-    });
-    let mut config = SimConfig::paper_48h(seed);
-    config.duration_secs = (hours * 3600) as f64;
-    config.migrations_enabled = migrations;
-    config.record_server_utilization = false;
-    Scenario {
-        fleet: Fleet::thirds(n_servers),
-        workload: Workload::all_vms_from_start(traces),
-        config,
-    }
+    let mut s = Scenario::closed_system(
+        Fleet::thirds(n_servers),
+        TraceConfig {
+            n_vms,
+            duration_secs: hours * 3600,
+            ..TraceConfig::small(seed)
+        },
+    );
+    s.config.migrations_enabled = migrations;
+    s.config.record_server_utilization = false;
+    s
 }
 
 fn check_universal_invariants(scenario: &Scenario, res: &ecocloud::dcsim::SimResult) {
