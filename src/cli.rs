@@ -958,6 +958,25 @@ mod tests {
     }
 
     #[test]
+    fn build_scenario_respects_dimensions() {
+        // The closed system the `run` command builds from its flags.
+        let a = ScenarioArgs {
+            servers: 12,
+            cores: Some(4),
+            vms: 30,
+            hours: 2,
+            seed: 5,
+        };
+        let s = a.spec(false, true, None).build(a.seed);
+        assert_eq!(s.fleet.len(), 12);
+        assert!(s.fleet.specs.iter().all(|sp| sp.cores == 4));
+        assert_eq!(s.workload.spawns.len(), 30);
+        assert_eq!(s.config.duration_secs, 7200.0);
+        assert!(!s.config.migrations_enabled);
+        assert!(s.config.record_server_utilization);
+    }
+
+    #[test]
     fn run_command_executes_end_to_end() {
         let cmd = parse(&argv(
             "run --servers 6 --vms 30 --hours 1 --policy ecocloud --seed 3",
@@ -1184,6 +1203,26 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn build_scenario_open_respects_dimensions() {
+        // The open system `run --churn steady` builds from its flags.
+        let a = ScenarioArgs {
+            servers: 10,
+            cores: Some(6),
+            vms: 60,
+            hours: 2,
+            seed: 5,
+        };
+        let churn = churn_kind("steady", 0.5, "").expect("steady parses");
+        assert_eq!(churn, Some((ChurnKind::Steady, 50)));
+        let s = a.spec(false, true, churn).build(a.seed);
+        assert_eq!(s.fleet.len(), 10);
+        assert!(s.fleet.specs.iter().all(|sp| sp.cores == 6));
+        assert_eq!(s.config.duration_secs, 7200.0);
+        assert!(!s.config.migrations_enabled);
+        assert!(s.workload.wrap_traces);
     }
 
     #[test]
