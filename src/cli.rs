@@ -959,21 +959,31 @@ mod tests {
 
     #[test]
     fn build_scenario_respects_dimensions() {
-        // The closed system the `run` command builds from its flags.
-        let a = ScenarioArgs {
-            servers: 12,
-            cores: Some(4),
-            vms: 30,
-            hours: 2,
-            seed: 5,
-        };
-        let s = a.spec(false, true, None).build(a.seed);
-        assert_eq!(s.fleet.len(), 12);
-        assert!(s.fleet.specs.iter().all(|sp| sp.cores == 4));
-        assert_eq!(s.workload.spawns.len(), 30);
-        assert_eq!(s.config.duration_secs, 7200.0);
-        assert!(!s.config.migrations_enabled);
-        assert!(s.config.record_server_utilization);
+        // The closed system the `run` command builds from its flags;
+        // `run` itself turns on the event log for `--events`.
+        let line = "run --servers 12 --cores 4 --vms 30 --hours 2 --seed 5 --no-migrations";
+        for events in [false, true] {
+            let line = if events {
+                format!("{line} --events")
+            } else {
+                line.to_string()
+            };
+            let Command::Run(args) = parse(&argv(&line)).expect("parses") else {
+                panic!("wrong command");
+            };
+            let s = args
+                .scenario
+                .spec(!args.no_migrations, true, None)
+                .build(args.scenario.seed);
+            assert_eq!(s.fleet.len(), 12);
+            assert!(s.fleet.specs.iter().all(|sp| sp.cores == 4));
+            assert_eq!(s.workload.spawns.len(), 30);
+            assert_eq!(s.config.duration_secs, 7200.0);
+            assert!(!s.config.migrations_enabled);
+            assert!(s.config.record_server_utilization);
+            let res = run(&args).expect("runs");
+            assert_eq!(res.events.is_enabled(), events, "{line}");
+        }
     }
 
     #[test]
@@ -1222,7 +1232,10 @@ mod tests {
         assert!(s.fleet.specs.iter().all(|sp| sp.cores == 6));
         assert_eq!(s.config.duration_secs, 7200.0);
         assert!(!s.config.migrations_enabled);
+        assert!(s.config.record_server_utilization);
         assert!(s.workload.wrap_traces);
+        let quiet = a.spec(false, false, churn).build(a.seed);
+        assert!(!quiet.config.record_server_utilization);
     }
 
     #[test]

@@ -1133,43 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_spec_respects_dimensions() {
-        let closed = ScenarioSpec::Custom {
-            servers: 12,
-            cores: Some(4),
-            vms: 30,
-            hours: 2,
-            migrations: false,
-            server_utilization: true,
-            churn: None,
-        }
-        .build(5);
-        assert_eq!(closed.fleet.len(), 12);
-        assert!(closed.fleet.specs.iter().all(|sp| sp.cores == 4));
-        assert_eq!(closed.workload.spawns.len(), 30);
-        assert_eq!(closed.config.duration_secs, 7200.0);
-        assert!(!closed.config.migrations_enabled);
-        assert!(closed.config.record_server_utilization);
-
-        let open = ScenarioSpec::Custom {
-            servers: 10,
-            cores: Some(6),
-            vms: 60,
-            hours: 2,
-            migrations: false,
-            server_utilization: false,
-            churn: Some((ChurnKind::Steady, 50)),
-        }
-        .build(5);
-        assert_eq!(open.fleet.len(), 10);
-        assert!(open.fleet.specs.iter().all(|sp| sp.cores == 6));
-        assert_eq!(open.config.duration_secs, 7200.0);
-        assert!(!open.config.migrations_enabled);
-        assert!(!open.config.record_server_utilization);
-        assert!(open.workload.wrap_traces);
-    }
-
-    #[test]
     fn churn_tokens_extend_the_canonical_string() {
         let spec = RunSpec::new(
             ScenarioSpec::Custom {
