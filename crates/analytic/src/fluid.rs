@@ -23,7 +23,8 @@
 //! manager's wake-up rule) and *hibernated* when their utilization
 //! decays below `u_off`. Integration is classic fixed-step RK4.
 
-use crate::share::{exact_shares, simplified_shares};
+use crate::quadrature::GaussLegendre;
+use crate::share::{exact_rule_nodes, simplified_shares, ExactShareKernel};
 use ecocloud_core::AssignmentFunction;
 
 /// Which share formula drives the model.
@@ -118,6 +119,22 @@ impl FluidSolution {
     }
 }
 
+/// The share formula of one solve. The exact kernel holds the
+/// quadrature rule for the solve's fleet size, built once per solve.
+enum Shares {
+    Exact(ExactShareKernel),
+    Simplified,
+}
+
+impl Shares {
+    fn of(&mut self, f: &[f64]) -> Vec<f64> {
+        match self {
+            Self::Exact(kernel) => kernel.shares(f),
+            Self::Simplified => simplified_shares(f),
+        }
+    }
+}
+
 /// The fluid model of the assignment-only data center.
 pub struct FluidModel {
     config: FluidConfig,
@@ -156,16 +173,9 @@ impl FluidModel {
         self
     }
 
-    fn shares(&self, f: &[f64]) -> Vec<f64> {
-        match self.config.share_model {
-            ShareModel::Exact => exact_shares(f),
-            ShareModel::Simplified => simplified_shares(f),
-        }
-    }
-
     /// Right-hand side of the ODE for the active servers.
     /// `u` and the returned vector are indexed like `active`.
-    fn rhs(&self, t: f64, u: &[f64], active: &[bool]) -> Vec<f64> {
+    fn rhs(&self, t: f64, u: &[f64], active: &[bool], shares: &mut Shares) -> Vec<f64> {
         let lambda = (self.lambda)(t);
         let dep = (self.departure_rate)(t);
         let env = (self.demand_envelope)(t).max(1e-9);
@@ -176,12 +186,16 @@ impl FluidModel {
         let env_p = (self.demand_envelope)(t + h).max(1e-9);
         let env_m = (self.demand_envelope)((t - h).max(0.0)).max(1e-9);
         let dlog_env = (env_p - env_m) / ((t + h - (t - h).max(0.0)) * env);
+        // `eval` recomputes M_p (three `powf`) per server; hoisting it
+        // feeds the same divisor to the same division.
+        let fa = &self.config.fa;
+        let m_p = fa.m_p();
         let f: Vec<f64> = u
             .iter()
             .zip(active)
-            .map(|(&ui, &a)| if a { self.config.fa.eval(ui) } else { 0.0 })
+            .map(|(&ui, &a)| if a { fa.eval_normalized(ui, m_p) } else { 0.0 })
             .collect();
-        let shares = self.shares(&f);
+        let shares = shares.of(&f);
         u.iter()
             .zip(active)
             .zip(&shares)
@@ -201,6 +215,12 @@ impl FluidModel {
     pub fn solve(&self, u0: &[f64], duration_secs: f64) -> FluidSolution {
         let n = u0.len();
         assert!(n > 0, "need at least one server");
+        let mut shares = match self.config.share_model {
+            ShareModel::Exact => Shares::Exact(ExactShareKernel::new(GaussLegendre::new(
+                exact_rule_nodes(n),
+            ))),
+            ShareModel::Simplified => Shares::Simplified,
+        };
         let mut u: Vec<f64> = u0.to_vec();
         let mut active: Vec<bool> = u0.iter().map(|&x| x > 0.0).collect();
         let mut activated_at: Vec<f64> = vec![0.0; n];
@@ -233,13 +253,13 @@ impl FluidModel {
             }
             // One RK4 step on the active subsystem.
             let h = dt.min(duration_secs - t);
-            let k1 = self.rhs(t, &u, &active);
+            let k1 = self.rhs(t, &u, &active, &mut shares);
             let u2: Vec<f64> = u.iter().zip(&k1).map(|(x, k)| x + 0.5 * h * k).collect();
-            let k2 = self.rhs(t + 0.5 * h, &u2, &active);
+            let k2 = self.rhs(t + 0.5 * h, &u2, &active, &mut shares);
             let u3: Vec<f64> = u.iter().zip(&k2).map(|(x, k)| x + 0.5 * h * k).collect();
-            let k3 = self.rhs(t + 0.5 * h, &u3, &active);
+            let k3 = self.rhs(t + 0.5 * h, &u3, &active, &mut shares);
             let u4: Vec<f64> = u.iter().zip(&k3).map(|(x, k)| x + h * k).collect();
-            let k4 = self.rhs(t + h, &u4, &active);
+            let k4 = self.rhs(t + h, &u4, &active, &mut shares);
             for i in 0..n {
                 u[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
                 u[i] = u[i].clamp(0.0, 1.0);
@@ -303,6 +323,52 @@ mod tests {
             move |_| lambda,
             move |_| dep,
         )
+    }
+
+    /// FNV-1a over every bit of a solution.
+    fn solution_hash(sol: &FluidSolution) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (i, &t) in sol.times_secs.iter().enumerate() {
+            eat(t.to_bits());
+            eat(sol.active_count[i] as u64);
+            eat(sol.overall_load[i].to_bits());
+            for &x in &sol.u[i] {
+                eat(u64::from(x.to_bits()));
+            }
+        }
+        eat(sol.activations);
+        eat(sol.hibernations);
+        h
+    }
+
+    #[test]
+    fn pinned_solution_bits() {
+        // 100 heterogeneous servers, a tenth of them hibernated at the
+        // start, under constant churn. The hashes pin every output bit
+        // of both share models, so any reordering of the share
+        // arithmetic or of the RK4 step shows up here.
+        let u0: Vec<f64> = (0..100)
+            .map(|i| {
+                if i % 10 == 3 {
+                    0.0
+                } else {
+                    0.05 + 0.8 * ((i * 37) % 100) as f64 / 100.0
+                }
+            })
+            .collect();
+        let dep = 1.0 / 3600.0;
+        let lambda = 30.0 * dep / 0.02;
+        let hash = |share| solution_hash(&model(share, lambda, dep).solve(&u0, 2.0 * 3600.0));
+        assert_eq!(
+            [hash(ShareModel::Simplified), hash(ShareModel::Exact)],
+            [0x8066_b69a_946f_61ef, 0xfa86_a479_4414_a198],
+            "fluid solution bits moved"
+        );
     }
 
     #[test]

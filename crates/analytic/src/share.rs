@@ -18,6 +18,14 @@
 //! (exact for polynomials), evaluated as `Q(x)/(1 − f_s + f_s x)` where
 //! `Q` is the full product over all servers.
 //!
+//! The kernel runs the two loops across servers and nodes side by side
+//! so they vectorize, but never reorders a floating-point chain: each
+//! `Q(x_j)` multiplies its factors in server order and each server
+//! adds its quadrature terms in node order, exactly as the per-server
+//! formulation does, so every share keeps its bits. A fluid solve
+//! builds its quadrature rule once (`ExactShareKernel`) and
+//! [`exact_shares`] builds one per call.
+//!
 //! **Erratum note:** the paper prints the sum as `Σ_{k=0}^{N_s−2}` and
 //! omits the `f_s` factor in Eq. 6. As printed, the shares do not sum
 //! to 1 (e.g. two servers with `f = 1` would each get share 0). The
@@ -29,8 +37,7 @@
 //!
 //! `A_s ≈ f_s / Σ_i f_i` — acceptance-probability-proportional
 //! splitting, which the paper reports to be "very close" to the exact
-//! model. Both are implemented; the `fig13` experiment and the share
-//! benchmarks compare them.
+//! model. Both are implemented; the `fig13` experiment compares them.
 
 use crate::quadrature::GaussLegendre;
 
@@ -46,43 +53,85 @@ use crate::quadrature::GaussLegendre;
 /// assert_eq!(shares[2], 0.0);     // f_a = 0 gets nothing
 /// ```
 pub fn exact_shares(f: &[f64]) -> Vec<f64> {
-    validate(f);
-    let n = f.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let none_accepts: f64 = f.iter().map(|&fi| 1.0 - fi).product();
-    let norm = 1.0 - none_accepts;
-    if norm <= 1e-300 {
-        return vec![0.0; n];
-    }
-    // Enough nodes to integrate the degree-(n−1) polynomial exactly.
-    let quad = GaussLegendre::new(n / 2 + 1);
-    // Q(x_j) = Π_i (1 − f_i + f_i x_j), shared across all servers.
-    let q_at: Vec<f64> = quad
-        .nodes
-        .iter()
-        .map(|&x| f.iter().map(|&fi| 1.0 - fi + fi * x).product())
-        .collect();
-    let share_of = |s: usize| -> f64 {
-        let fs = f[s];
-        if fs == 0.0 {
-            return 0.0;
+    ExactShareKernel::new(GaussLegendre::new(exact_rule_nodes(f.len()))).shares(f)
+}
+
+/// Enough Gauss–Legendre nodes to integrate the degree-(n−1)
+/// polynomial `R_s` of `n` servers exactly.
+pub(crate) fn exact_rule_nodes(servers: usize) -> usize {
+    servers / 2 + 1
+}
+
+/// The exact-share evaluator: a quadrature rule for one fleet size
+/// plus its scratch buffers, so a fluid solve builds the rule once
+/// rather than on every right-hand-side evaluation.
+pub(crate) struct ExactShareKernel {
+    quad: GaussLegendre,
+    /// `Q(x_j)` at every node.
+    q_at: Vec<f64>,
+    /// `∫₀¹ R_s(x) dx` of every server.
+    integral: Vec<f64>,
+}
+
+impl ExactShareKernel {
+    /// A kernel for `f` vectors of the length `quad` was sized for by
+    /// [`exact_rule_nodes`].
+    pub(crate) fn new(quad: GaussLegendre) -> Self {
+        Self {
+            quad,
+            q_at: Vec::new(),
+            integral: Vec::new(),
         }
-        let integral: f64 = quad
-            .nodes
-            .iter()
-            .zip(&quad.weights)
-            .zip(&q_at)
-            .map(|((&x, &w), &qx)| {
-                // R_s(x) = Q(x) / (1 − f_s + f_s x); the denominator is
-                // ≥ x > 0 on the open interval.
-                w * qx / (1.0 - fs + fs * x)
-            })
-            .sum();
-        fs * integral / norm
-    };
-    (0..n).map(share_of).collect()
+    }
+
+    /// The shares of [`exact_shares`], bit for bit.
+    pub(crate) fn shares(&mut self, f: &[f64]) -> Vec<f64> {
+        validate(f);
+        let n = f.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        assert_eq!(
+            self.quad.len(),
+            exact_rule_nodes(n),
+            "quadrature rule sized for another fleet"
+        );
+        let none_accepts: f64 = f.iter().map(|&fi| 1.0 - fi).product();
+        let norm = 1.0 - none_accepts;
+        if norm <= 1e-300 {
+            return vec![0.0; n];
+        }
+        let Self {
+            quad,
+            q_at,
+            integral,
+        } = self;
+        // Q(x_j) = Π_i (1 − f_i + f_i x_j), shared across all servers.
+        // Each Q(x_j) multiplies its factors in server order, from the
+        // 1.0 that `Iterator::product` starts from.
+        q_at.clear();
+        q_at.resize(quad.len(), 1.0);
+        for &fi in f {
+            for (q, &x) in q_at.iter_mut().zip(&quad.nodes) {
+                *q *= 1.0 - fi + fi * x;
+            }
+        }
+        // Each server adds its terms in node order, from the -0.0 that
+        // `Iterator::sum` starts from. R_s(x) = Q(x) / (1 − f_s + f_s x);
+        // the denominator is ≥ x > 0 on the open interval.
+        integral.clear();
+        integral.resize(n, -0.0);
+        for ((&x, &w), &qx) in quad.nodes.iter().zip(&quad.weights).zip(q_at.iter()) {
+            let wq = w * qx;
+            for (acc, &fs) in integral.iter_mut().zip(f) {
+                *acc += wq / (1.0 - fs + fs * x);
+            }
+        }
+        f.iter()
+            .zip(integral.iter())
+            .map(|(&fs, &acc)| if fs == 0.0 { 0.0 } else { fs * acc / norm })
+            .collect()
+    }
 }
 
 /// Simplified shares (Eq. 11): proportional to the acceptance
@@ -171,6 +220,58 @@ fn validate(f: &[f64]) {
 mod tests {
     use super::*;
     use ecocloud_rng::{Rng, SeedableRng, StdRng};
+
+    /// The per-server formulation the kernel replaced: one `Q` product
+    /// per node, then one integral per server. Oracle for the bits.
+    fn exact_shares_per_server(f: &[f64], quad: &GaussLegendre) -> Vec<f64> {
+        let n = f.len();
+        let none_accepts: f64 = f.iter().map(|&fi| 1.0 - fi).product();
+        let norm = 1.0 - none_accepts;
+        if norm <= 1e-300 {
+            return vec![0.0; n];
+        }
+        let q_at: Vec<f64> = quad
+            .nodes
+            .iter()
+            .map(|&x| f.iter().map(|&fi| 1.0 - fi + fi * x).product())
+            .collect();
+        let share_of = |s: usize| -> f64 {
+            let fs = f[s];
+            if fs == 0.0 {
+                return 0.0;
+            }
+            let integral: f64 = quad
+                .nodes
+                .iter()
+                .zip(&quad.weights)
+                .zip(&q_at)
+                .map(|((&x, &w), &qx)| w * qx / (1.0 - fs + fs * x))
+                .sum();
+            fs * integral / norm
+        };
+        (0..n).map(share_of).collect()
+    }
+
+    #[test]
+    fn kernel_keeps_the_per_server_bits() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for n in 1..=400 {
+            let quad = GaussLegendre::new(exact_rule_nodes(n));
+            let mut kernel = ExactShareKernel::new(quad.clone());
+            let mut f: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0f64..=1.0)).collect();
+            // Exact 0.0 and 1.0 entries take the share's special cases.
+            f[rng.gen_range(0..n)] = 0.0;
+            f[rng.gen_range(0..n)] = 1.0;
+            let all_zero = vec![0.0; n];
+            for f in [&f, &all_zero] {
+                let want = exact_shares_per_server(f, &quad);
+                let got = kernel.shares(f);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n = {n}");
+                assert_eq!(bits(&exact_shares(f)), bits(&want), "n = {n}");
+            }
+        }
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

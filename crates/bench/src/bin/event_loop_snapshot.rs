@@ -18,13 +18,16 @@
 //!   over the whole grid.
 //!
 //! Usage:
-//!   event_loop_snapshot                 # full grid → BENCH_event_loop.json
-//!   event_loop_snapshot --quick         # queue benches + small engine point
-//!   event_loop_snapshot --check FILE    # re-measure, fail if calendar/heap
-//!                                       # speedup drops >20 % vs FILE or the
-//!                                       # 5k × 48 h event count differs
-//!   event_loop_snapshot --queue FLEET [MIX]   # one queue point, stdout only
-//!   event_loop_snapshot --engine N VMS HOURS SEED   # child
+//!
+//! ```text
+//! event_loop_snapshot                 # full grid → BENCH_event_loop.json
+//! event_loop_snapshot --quick         # queue benches + small engine point
+//! event_loop_snapshot --check FILE    # re-measure, fail if calendar/heap
+//!                                     # speedup drops >20 % vs FILE or the
+//!                                     # 5k × 48 h event count differs
+//! event_loop_snapshot --queue FLEET [MIX]   # one queue point, stdout only
+//! event_loop_snapshot --engine N VMS HOURS SEED   # child
+//! ```
 
 use ecocloud::dcsim::events::{Event, EventQueue, ReferenceHeap};
 use ecocloud::dcsim::ids::ServerId;

@@ -26,9 +26,8 @@ pub const LARGE_FLEET_LADDER: [usize; 5] = [1_000, 5_000, 20_000, 50_000, 100_00
 
 /// Fleet sizes for the snapshot's queue micro-benchmarks (pure
 /// [`ecocloud::dcsim::events::EventQueue`] throughput, no engine).
-pub const QUEUE_FLEET_GRID: [u64; 7] = [
-    5_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000,
-];
+pub const QUEUE_FLEET_GRID: [u64; 7] =
+    [5_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000];
 
 /// The large-fleet stress scenario: `n_servers` paper-mix machines
 /// hosting `2 × n_servers` VMs for 48 simulated hours — an order of

@@ -156,7 +156,7 @@ impl FaultConfig {
 
     /// Validates the schedule, reporting the first offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if !(self.crash_mtbf_secs > 0.0) {
+        if self.crash_mtbf_secs.is_nan() || self.crash_mtbf_secs <= 0.0 {
             return reject(
                 "crash_mtbf_secs",
                 "crash MTBF must be positive (use infinity to disable)",
@@ -442,19 +442,19 @@ impl SimConfig {
         if !(self.duration_secs > 0.0 && self.duration_secs.is_finite()) {
             return reject("duration_secs", "duration must be positive and finite");
         }
-        if !(self.monitor_interval_secs > 0.0) {
+        if self.monitor_interval_secs.is_nan() || self.monitor_interval_secs <= 0.0 {
             return reject("monitor_interval_secs", "monitor interval must be positive");
         }
-        if !(self.metrics_interval_secs > 0.0) {
+        if self.metrics_interval_secs.is_nan() || self.metrics_interval_secs <= 0.0 {
             return reject("metrics_interval_secs", "metrics interval must be positive");
         }
-        if !(self.wake_latency_secs >= 0.0) {
+        if self.wake_latency_secs.is_nan() || self.wake_latency_secs < 0.0 {
             return reject("wake_latency_secs", "wake latency must be >= 0");
         }
-        if !(self.migration_latency_secs >= 0.0) {
+        if self.migration_latency_secs.is_nan() || self.migration_latency_secs < 0.0 {
             return reject("migration_latency_secs", "migration latency must be >= 0");
         }
-        if !(self.idle_timeout_secs >= 0.0) {
+        if self.idle_timeout_secs.is_nan() || self.idle_timeout_secs < 0.0 {
             return reject("idle_timeout_secs", "idle timeout must be >= 0");
         }
         self.faults.validate()?;
@@ -492,6 +492,24 @@ mod tests {
         let mut c = SimConfig::paper_48h(1);
         c.monitor_interval_secs = 0.0;
         assert_eq!(c.validate().unwrap_err().field, "monitor_interval_secs");
+    }
+
+    #[test]
+    fn rejects_nan_intervals_and_latencies() {
+        type Field = fn(&mut SimConfig) -> &mut f64;
+        let fields: [(&str, Field); 6] = [
+            ("crash_mtbf_secs", |c| &mut c.faults.crash_mtbf_secs),
+            ("monitor_interval_secs", |c| &mut c.monitor_interval_secs),
+            ("metrics_interval_secs", |c| &mut c.metrics_interval_secs),
+            ("wake_latency_secs", |c| &mut c.wake_latency_secs),
+            ("migration_latency_secs", |c| &mut c.migration_latency_secs),
+            ("idle_timeout_secs", |c| &mut c.idle_timeout_secs),
+        ];
+        for (name, field) in fields {
+            let mut c = SimConfig::paper_48h(1);
+            *field(&mut c) = f64::NAN;
+            assert_eq!(c.validate().unwrap_err().field, name, "NaN {name} accepted");
+        }
     }
 
     #[test]

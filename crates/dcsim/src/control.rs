@@ -310,7 +310,10 @@ mod tests {
             let raw = (cp.cfg.rebroadcast_backoff_secs * 2f64.powi(rounds as i32 - 1))
                 .min(cp.cfg.rebroadcast_backoff_cap_secs);
             let b = cp.rebroadcast_backoff(rounds);
-            assert!(b >= 0.5 * raw && b < 1.5 * raw, "round {rounds}: {b} vs {raw}");
+            assert!(
+                b >= 0.5 * raw && b < 1.5 * raw,
+                "round {rounds}: {b} vs {raw}"
+            );
         }
     }
 }

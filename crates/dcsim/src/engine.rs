@@ -883,8 +883,9 @@ impl<P: Policy> Simulation<P> {
                 let ram = self.cluster.vms[vm_id.index()].ram_mb;
                 self.cluster.detach(vm_id, from, self.now);
                 self.cluster.vms[vm_id.index()].state = VmState::Departed;
-                self.cluster.vms[vm_id.index()].migration_seq =
-                    self.cluster.vms[vm_id.index()].migration_seq.wrapping_add(1);
+                self.cluster.vms[vm_id.index()].migration_seq = self.cluster.vms[vm_id.index()]
+                    .migration_seq
+                    .wrapping_add(1);
                 self.cluster.release_reservation(to, demand, ram);
                 self.alive_count -= 1;
                 self.stats.vms_departed += 1;
@@ -1026,7 +1027,9 @@ impl<P: Policy> Simulation<P> {
             .max_by(|a, b| {
                 // Largest demand frees the most capacity; ties break to
                 // the lowest id for determinism.
-                a.demand_mhz.total_cmp(&b.demand_mhz).then(b.id.0.cmp(&a.id.0))
+                a.demand_mhz
+                    .total_cmp(&b.demand_mhz)
+                    .then(b.id.0.cmp(&a.id.0))
             })
             .map(|vm| vm.id);
         let Some(vm_id) = victim else { return };
@@ -1044,8 +1047,9 @@ impl<P: Policy> Simulation<P> {
         let demand = self.cluster.vms[vm_id.index()].demand_mhz;
         let ram = self.cluster.vms[vm_id.index()].ram_mb;
         self.cluster.vms[vm_id.index()].state = VmState::Hosted { host: from };
-        self.cluster.vms[vm_id.index()].migration_seq =
-            self.cluster.vms[vm_id.index()].migration_seq.wrapping_add(1);
+        self.cluster.vms[vm_id.index()].migration_seq = self.cluster.vms[vm_id.index()]
+            .migration_seq
+            .wrapping_add(1);
         self.cluster.release_reservation(to, demand, ram);
         self.stats.migrations_aborted += 1;
         self.log.push(SimEvent::MigrationAborted {
@@ -1099,8 +1103,9 @@ impl<P: Policy> Simulation<P> {
         self.cluster.detach(vm_id, from, self.now);
         self.cluster.release_reservation(to, demand, ram);
         self.cluster.attach(vm_id, to, self.now);
-        self.cluster.vms[vm_id.index()].migration_seq =
-            self.cluster.vms[vm_id.index()].migration_seq.wrapping_add(1);
+        self.cluster.vms[vm_id.index()].migration_seq = self.cluster.vms[vm_id.index()]
+            .migration_seq
+            .wrapping_add(1);
         self.stats.migrations_completed += 1;
         self.log.push(SimEvent::MigrationCompleted {
             t: self.now,
@@ -1895,7 +1900,9 @@ impl<P: Policy> Simulation<P> {
     fn exhaust_exchange(&mut self, id: u64) {
         let ex = control_plane(&mut self.control).take(id);
         self.stats.exchanges_abandoned += 1;
-        self.stats.placement_latency.push(self.now - ex.started_secs);
+        self.stats
+            .placement_latency
+            .push(self.now - ex.started_secs);
         self.log.push(SimEvent::ExchangeAbandoned {
             t: self.now,
             vm: ex.vm,
@@ -1910,7 +1917,9 @@ impl<P: Policy> Simulation<P> {
     fn commit_exchange(&mut self, id: u64, target: ServerId) {
         let ex = control_plane(&mut self.control).take(id);
         self.stats.exchanges_committed += 1;
-        self.stats.placement_latency.push(self.now - ex.started_secs);
+        self.stats
+            .placement_latency
+            .push(self.now - ex.started_secs);
         self.log.push(SimEvent::ExchangeCommitted {
             t: self.now,
             vm: ex.vm,
@@ -2066,9 +2075,9 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<SimResult>();
         assert_send::<Simulation<FirstFit>>();
-        assert_send::<crate::SimConfig>();
-        assert_send::<crate::Fleet>();
-        assert_send::<crate::Workload>();
+        assert_send::<SimConfig>();
+        assert_send::<Fleet>();
+        assert_send::<Workload>();
     }
 
     /// Policy that always rejects — every VM is dropped.
@@ -2144,7 +2153,10 @@ mod tests {
         let traces = small_traces(10);
         let w = Workload::all_vms_from_start(traces);
         let mut sim = Simulation::new(Fleet::uniform(5, 6), w, quick_config(), FirstFit);
-        let last = (0..100).filter_map(|_| sim.step()).last().expect("the run lasts 2 h");
+        let last = (0..100)
+            .filter_map(|_| sim.step())
+            .last()
+            .expect("the run lasts 2 h");
         sim.queue.insert_unchecked(last - 1.0, Event::MetricsSample);
         sim.finish();
     }
@@ -2269,13 +2281,13 @@ mod tests {
         // A tiny fleet driven into overload: one server, VMs of every
         // class; priority-first must short-change only the low class
         // when high+normal fit.
-        let traces = TraceSet::generate(ecocloud_traces::TraceConfig {
+        let traces = TraceSet::generate(TraceConfig {
             n_vms: 3,
             duration_secs: 3600,
-            ..ecocloud_traces::TraceConfig::small(99)
+            ..TraceConfig::small(99)
         });
         let mut w = Workload::all_vms_from_start(traces);
-        w.initial_placement = crate::workload::InitialPlacement::Spread;
+        w.initial_placement = InitialPlacement::Spread;
         w.spawns[0].priority = VmPriority::High;
         w.spawns[1].priority = VmPriority::Normal;
         w.spawns[2].priority = VmPriority::Low;
@@ -2316,13 +2328,13 @@ mod tests {
     #[test]
     fn proportional_sharing_short_changes_everyone() {
         use crate::sla::VmPriority;
-        let traces = TraceSet::generate(ecocloud_traces::TraceConfig {
+        let traces = TraceSet::generate(TraceConfig {
             n_vms: 2,
             duration_secs: 3600,
-            ..ecocloud_traces::TraceConfig::small(98)
+            ..TraceConfig::small(98)
         });
         let mut w = Workload::all_vms_from_start(traces);
-        w.initial_placement = crate::workload::InitialPlacement::Spread;
+        w.initial_placement = InitialPlacement::Spread;
         w.spawns[0].priority = VmPriority::High;
         w.spawns[1].priority = VmPriority::Low;
         let mut cfg = quick_config();
@@ -2695,9 +2707,7 @@ mod tests {
         // VM 0 (spread onto S0) was re-placed on the surviving S1.
         assert_eq!(
             sim.cluster.vms[0].state,
-            VmState::Hosted {
-                host: ServerId(1)
-            }
+            VmState::Hosted { host: ServerId(1) }
         );
         assert_eq!(sim.stats.server_crashes, 1);
         assert_eq!(sim.stats.vms_displaced, 1);

@@ -846,10 +846,21 @@ impl EventQueue {
     pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
         let mut entries: Vec<Scheduled> = Vec::with_capacity(self.len);
         entries.extend(self.cal.entries().copied());
-        debug_assert_eq!(entries.len(), self.len, "queue len out of sync with storage");
-        entries.sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs).then_with(|| a.seq.cmp(&b.seq)));
+        debug_assert_eq!(
+            entries.len(),
+            self.len,
+            "queue len out of sync with storage"
+        );
+        entries.sort_by(|a, b| {
+            a.t_secs
+                .total_cmp(&b.t_secs)
+                .then_with(|| a.seq.cmp(&b.seq))
+        });
         (
-            entries.into_iter().map(|s| (s.t_secs, s.seq, s.event)).collect(),
+            entries
+                .into_iter()
+                .map(|s| (s.t_secs, s.seq, s.event))
+                .collect(),
             self.next_seq,
             self.now_floor,
         )
@@ -968,14 +979,14 @@ mod tests {
     #[test]
     fn event_fits_two_words() {
         assert!(
-            std::mem::size_of::<Event>() <= 16,
+            size_of::<Event>() <= 16,
             "Event grew to {} bytes",
-            std::mem::size_of::<Event>()
+            size_of::<Event>()
         );
         assert!(
-            std::mem::size_of::<Scheduled>() <= 32,
+            size_of::<Scheduled>() <= 32,
             "Scheduled grew to {} bytes",
-            std::mem::size_of::<Scheduled>()
+            size_of::<Scheduled>()
         );
     }
 
@@ -1098,7 +1109,7 @@ mod tests {
             now = t;
             q.advance_to(t);
             if matches!(e, Event::MonitorTick(_)) && t < 8000.0 {
-                q.schedule_chain(t + 300.0, e.clone());
+                q.schedule_chain(t + 300.0, e);
             }
             popped.push((t, e));
         }
@@ -1206,7 +1217,10 @@ mod tests {
         let mut q = EventQueue::new();
         for i in 0..3 * SLOT_CAP {
             q.schedule(2.5, Event::Spawn(i));
-            q.schedule(2.5 + pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64, Event::Spawn(1000 + i));
+            q.schedule(
+                2.5 + pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64,
+                Event::Spawn(1000 + i),
+            );
         }
         assert_snapshot_roundtrips(q);
     }

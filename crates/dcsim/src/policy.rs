@@ -130,7 +130,11 @@ pub trait Policy {
     /// "accept", in fleet order. `None` (the default) opts the policy
     /// out of the phased protocol entirely — the engine then resolves
     /// the placement through the atomic [`place`](Self::place) path.
-    fn invite(&mut self, _view: &ClusterView<'_>, _req: &PlacementRequest) -> Option<Vec<ServerId>> {
+    fn invite(
+        &mut self,
+        _view: &ClusterView<'_>,
+        _req: &PlacementRequest,
+    ) -> Option<Vec<ServerId>> {
         None
     }
 

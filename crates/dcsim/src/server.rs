@@ -170,10 +170,7 @@ impl Server {
     /// (Active or Waking).
     #[inline]
     pub fn is_powered(&self) -> bool {
-        matches!(
-            self.state,
-            ServerState::Active | ServerState::Waking { .. }
-        )
+        matches!(self.state, ServerState::Active | ServerState::Waking { .. })
     }
 
     /// True when the server is fully operational.

@@ -58,6 +58,10 @@ pub struct Call {
     pub in_test: bool,
 }
 
+/// A `pub use` re-export: the declaring file's index and the path it
+/// re-exports.
+type Reexport = (usize, Vec<String>);
+
 /// The workspace call graph.
 #[derive(Debug, Default)]
 pub struct Graph {
@@ -71,8 +75,8 @@ pub struct Graph {
     /// All workspace crate names (normalized idents).
     pub crates: BTreeSet<String>,
     by_crate_name: BTreeMap<(String, String), Vec<usize>>,
-    reexports: BTreeMap<(String, String), Vec<(usize, Vec<String>)>>,
-    glob_reexports: BTreeMap<String, Vec<(usize, Vec<String>)>>,
+    reexports: BTreeMap<(String, String), Vec<Reexport>>,
+    glob_reexports: BTreeMap<String, Vec<Reexport>>,
 }
 
 /// Callee idents that are control-flow keywords or otherwise never
@@ -174,7 +178,8 @@ impl Graph {
                         i += 1;
                         continue;
                     }
-                    if let Some(call) = self.call_at(file, file_idx, fn_idx, i, &use_map, &ctx_crate)
+                    if let Some(call) =
+                        self.call_at(file, file_idx, fn_idx, i, &use_map, &ctx_crate)
                     {
                         let next = i + 1;
                         self.calls.push(call);
@@ -204,7 +209,9 @@ impl Graph {
         }
         // The token after the callee: `(`, or a turbofish then `(`.
         let mut after = i + 1;
-        if lexed.punct_at(after, ":") && lexed.punct_at(after + 1, ":") && lexed.punct_at(after + 2, "<")
+        if lexed.punct_at(after, ":")
+            && lexed.punct_at(after + 1, ":")
+            && lexed.punct_at(after + 2, "<")
         {
             after = skip_angle(lexed, after + 2);
         }
@@ -350,10 +357,7 @@ impl Graph {
             return;
         }
         targets.extend_from_slice(self.fns_named(krate, name));
-        if let Some(rexps) = self
-            .reexports
-            .get(&(krate.to_string(), name.to_string()))
-        {
+        if let Some(rexps) = self.reexports.get(&(krate.to_string(), name.to_string())) {
             for (_file, path) in rexps {
                 self.resolve_reexport_target(krate, path, visited, targets, externals);
             }
@@ -532,7 +536,10 @@ mod tests {
             "fn run() { println!(\"x\"); if (true) {} return (); }",
         )]);
         let run = g.fns.iter().position(|f| f.name == "run").unwrap();
-        assert!(g.calls.iter().all(|c| c.caller != run || !c.written.is_empty()));
+        assert!(g
+            .calls
+            .iter()
+            .all(|c| c.caller != run || !c.written.is_empty()));
         assert!(callee_names(&g, "run").is_empty());
     }
 
@@ -543,7 +550,11 @@ mod tests {
             CrateKind::SimCore,
             "use rand::random as roll;\nfn run() -> u8 { roll() }",
         )]);
-        let call = g.calls.iter().find(|c| c.written == ["roll"]).expect("call");
+        let call = g
+            .calls
+            .iter()
+            .find(|c| c.written == ["roll"])
+            .expect("call");
         assert!(call.externals.iter().any(|p| p == &["rand", "random"]));
     }
 }

@@ -234,7 +234,7 @@ pub fn lex(src: &str) -> LexedFile {
                 // fractional part only when the `.` is followed by a
                 // digit (so `0..n` stays a range and `x.1.partial_cmp`
                 // keeps its method call), and a signed exponent.
-                let b = src[i..].as_bytes();
+                let b = &src.as_bytes()[i..];
                 let mut len = 0usize;
                 let run = |b: &[u8], mut k: usize| {
                     while k < b.len()

@@ -310,7 +310,9 @@ pub fn dl007_unordered_float_reduction(
         }
         // `(` directly, or through a `::<f64>` turbofish.
         let mut after = i + 1;
-        if lexed.punct_at(after, ":") && lexed.punct_at(after + 1, ":") && lexed.punct_at(after + 2, "<")
+        if lexed.punct_at(after, ":")
+            && lexed.punct_at(after + 1, ":")
+            && lexed.punct_at(after + 2, "<")
         {
             let mut depth = 0i32;
             let mut j = after + 2;
@@ -401,7 +403,7 @@ pub fn dl008_ordering_impls(lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<
                 }
                 j += 1;
             }
-            let has = |n: &str| names.iter().any(|x| *x == n);
+            let has = |n: &str| names.contains(&n);
             if has("PartialOrd") && !has("Ord") {
                 out.push(Finding {
                     file: ctx.rel_path.clone(),
@@ -548,7 +550,14 @@ pub fn dl010_threading_in_sim(lexed: &LexedFile, ctx: &FileContext, out: &mut Ve
         return;
     }
     const BANNED: &[&str] = &[
-        "Mutex", "RwLock", "Condvar", "Barrier", "UnsafeCell", "OnceLock", "LazyLock", "mpsc",
+        "Mutex",
+        "RwLock",
+        "Condvar",
+        "Barrier",
+        "UnsafeCell",
+        "OnceLock",
+        "LazyLock",
+        "mpsc",
     ];
     const THREAD_FNS: &[&str] = &["spawn", "scope"];
     let tests = test_regions(lexed);

@@ -404,7 +404,11 @@ use rand::*;
         assert_eq!(
             got,
             [
-                ("BTreeMap".into(), "std::collections::BTreeMap".into(), false),
+                (
+                    "BTreeMap".into(),
+                    "std::collections::BTreeMap".into(),
+                    false
+                ),
                 ("Set".into(), "std::collections::BTreeSet".into(), false),
                 ("fast_jitter".into(), "inner::jitter".into(), true),
                 ("*".into(), "rand::*".into(), false),
@@ -414,7 +418,10 @@ use rand::*;
 
     #[test]
     fn crate_names_normalize() {
-        assert_eq!(crate_of("crates/ecocloud-core/src/policy.rs"), "ecocloud_core");
+        assert_eq!(
+            crate_of("crates/ecocloud-core/src/policy.rs"),
+            "ecocloud_core"
+        );
         assert_eq!(crate_of("crates/dcsim/src/engine.rs"), "dcsim");
         assert_eq!(crate_of("src/sweep.rs"), "ecocloud");
         assert_eq!(crate_of("tests/invariants.rs"), "ecocloud");

@@ -132,8 +132,7 @@ fn body_seeds(lexed: &LexedFile, body: (usize, usize)) -> Vec<(TaintKind, String
     let mut entropy: Option<(String, u32)> = None;
     let mut hash_ty: Option<u32> = None;
     let mut hash_iter: Option<u32> = None;
-    for i in b0..b1.min(toks.len()) {
-        let t = &toks[i];
+    for (i, t) in toks.iter().enumerate().take(b1).skip(b0) {
         if t.kind != TokKind::Ident {
             continue;
         }
@@ -499,6 +498,10 @@ mod tests {
             ),
         ]);
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("rand::random"), "{}", found[0].message);
+        assert!(
+            found[0].message.contains("rand::random"),
+            "{}",
+            found[0].message
+        );
     }
 }

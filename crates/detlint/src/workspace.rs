@@ -117,7 +117,7 @@ pub fn lint_source(source: &str, ctx: &FileContext) -> Vec<Finding> {
 }
 
 /// Sorts diagnostics into the stable report order: (file, line, rule).
-pub fn sort_findings(findings: &mut Vec<Finding>) {
+pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -154,9 +154,8 @@ fn lint_lexed(files: Vec<(String, CrateKind, LexedFile)>) -> Vec<Finding> {
     let taints = taint::propagate(&graph);
     let mut tainted = taint::findings(&graph, &taints);
     for file in &graph.files {
-        let (mut mine, rest): (Vec<Finding>, Vec<Finding>) = tainted
-            .into_iter()
-            .partition(|f| f.file == file.rel_path);
+        let (mut mine, rest): (Vec<Finding>, Vec<Finding>) =
+            tainted.into_iter().partition(|f| f.file == file.rel_path);
         apply_waivers(&file.lexed, &mut mine);
         findings.append(&mut mine);
         tainted = rest;

@@ -281,13 +281,25 @@ fn non_utf8_source_is_skipped_with_warning() {
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::create_dir_all(dir.join("crates")).expect("mkdir crates");
     std::fs::write(dir.join("Cargo.toml"), "[package]\nname = \"t\"\n").expect("manifest");
-    std::fs::write(src.join("lib.rs"), b"fn ok() {}\n".to_vec()).expect("good file");
-    std::fs::write(src.join("junk.rs"), vec![0x66, 0x6e, 0x20, 0xff, 0xfe, 0x80]).expect("bad");
+    std::fs::write(src.join("lib.rs"), b"fn ok() {}\n").expect("good file");
+    std::fs::write(
+        src.join("junk.rs"),
+        vec![0x66, 0x6e, 0x20, 0xff, 0xfe, 0x80],
+    )
+    .expect("bad");
     let report = workspace::lint_workspace(&dir).expect("walk");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
-    assert!(report.warnings[0].contains("junk.rs"), "{:?}", report.warnings);
-    assert!(report.warnings[0].contains("UTF-8"), "{:?}", report.warnings);
+    assert!(
+        report.warnings[0].contains("junk.rs"),
+        "{:?}",
+        report.warnings
+    );
+    assert!(
+        report.warnings[0].contains("UTF-8"),
+        "{:?}",
+        report.warnings
+    );
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 

@@ -397,7 +397,7 @@ mod tests {
                     started: false,
                     evictable: false,
                 });
-                c.attach(vm, dcsim::ServerId(i as u32), 0.0);
+                c.attach(vm, ServerId(i as u32), 0.0);
             }
         }
         c

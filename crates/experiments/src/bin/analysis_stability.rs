@@ -31,7 +31,7 @@ fn sim_final_active_fraction(u_bar: f64, seed: u64) -> f64 {
     let steps = (hours * 3600 / 300) as usize;
     // Hand-built constant workload: no demand noise, no diurnal — the
     // pure dynamics the analysis describes.
-    let traces = ecocloud::traces::TraceSet {
+    let traces = TraceSet {
         config: TraceConfig {
             n_vms: population,
             duration_secs: hours * 3600,

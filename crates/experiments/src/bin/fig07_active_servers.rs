@@ -7,7 +7,9 @@
 
 use ecocloud::sweep::PolicySpec;
 use ecocloud_experiments::gnuplot::{emit_gnuplot, SeriesSpec};
-use ecocloud_experiments::{emit, ensemble_48h, run_48h_ecocloud, seed, series_with_band_csv, spark};
+use ecocloud_experiments::{
+    emit, ensemble_48h, run_48h_ecocloud, seed, series_with_band_csv, spark,
+};
 
 fn main() {
     let res = run_48h_ecocloud(seed());

@@ -44,9 +44,7 @@ fn main() {
             ),
             _ => (l as f64, 0.0, hi as f64, 0.0),
         };
-        csv.push_str(&format!(
-            "{h},{l},{hi},{lm:.2},{lc:.2},{hm:.2},{hc:.2}\n"
-        ));
+        csv.push_str(&format!("{h},{l},{hi},{lm:.2},{lc:.2},{hm:.2},{hc:.2}\n"));
     }
     emit("fig09_migrations.csv", &csv);
     emit_gnuplot(

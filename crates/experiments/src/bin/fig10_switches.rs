@@ -27,7 +27,8 @@ fn main() {
     println!();
     let on_band = agg.hourly("activations").expect("ensemble hourly");
     let off_band = agg.hourly("hibernations").expect("ensemble hourly");
-    let mut csv = String::from("hour,activations,hibernations,act_mean,act_ci95,hib_mean,hib_ci95\n");
+    let mut csv =
+        String::from("hour,activations,hibernations,act_mean,act_ci95,hib_mean,hib_ci95\n");
     for (i, (&(h, a), &(_, b))) in on.iter().zip(&off).enumerate() {
         let (am, ac, hm, hc) = match (on_band.get(i), off_band.get(i)) {
             (Some(ab), Some(hb)) => (

@@ -128,7 +128,11 @@ pub fn reduced_scenario(seed: u64) -> Scenario {
 /// which does not feed back into the dynamics but would bloat every
 /// cached artifact.
 pub fn spec_48h(policy: PolicySpec, seed: u64) -> RunSpec {
-    let (servers, vms, hours) = if fast_mode() { (40, 600, 12) } else { (400, 6000, 48) };
+    let (servers, vms, hours) = if fast_mode() {
+        (40, 600, 12)
+    } else {
+        (400, 6000, 48)
+    };
     let scenario = ScenarioSpec::Custom {
         servers,
         cores: None,

@@ -32,9 +32,9 @@ use crate::{StreamingStats, TimeSeries};
 pub fn t_critical_95(df: u64) -> f64 {
     // Values of t_{0.975, df} (two-sided 95 %).
     const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179,
-        2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
     ];
     match df {
         0 => f64::INFINITY,
@@ -244,10 +244,7 @@ impl EnsembleSeries {
     /// CSV with `time_h,<name>_mean,<name>_ci95,<name>_min,<name>_max`
     /// columns — the band a figure plots around the replicated series.
     pub fn to_csv(&self) -> String {
-        let mut s = format!(
-            "time_h,{n}_mean,{n}_ci95,{n}_min,{n}_max\n",
-            n = self.name
-        );
+        let mut s = format!("time_h,{n}_mean,{n}_ci95,{n}_min,{n}_max\n", n = self.name);
         let mean = self.mean_series();
         let ci = self.ci95_series();
         for (i, &t) in self.t_secs.iter().enumerate() {

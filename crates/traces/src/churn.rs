@@ -308,12 +308,8 @@ impl OpenSystemSpec {
             trial_seed,
             &self.initial_lifetimes(trial_seed),
         );
-        let est = RateEstimate::from_events(
-            &trial,
-            self.initial_population(),
-            duration_secs,
-            3600.0,
-        );
+        let est =
+            RateEstimate::from_events(&trial, self.initial_population(), duration_secs, 3600.0);
         // Measure the swing over the final full day (transients from the
         // initial population have washed out after a few lifetimes).
         let windows = est.population.len();
@@ -521,8 +517,7 @@ mod tests {
             // Partition of the daily mean…
             assert!((resident + pool - spec.target_population).abs() < 1e-9);
             // …and pool swing × pool size reproduces the total swing.
-            let realized = spec.churn_pool_envelope().amplitude * pool
-                / spec.target_population;
+            let realized = spec.churn_pool_envelope().amplitude * pool / spec.target_population;
             assert!(
                 (realized - a_p).abs() < 1e-2,
                 "share {share}: realized {realized} vs a_p {a_p}"
@@ -554,14 +549,8 @@ mod tests {
         let duration = 2.0 * DAY_SECS;
         let seed = 42;
         let arrivals = spec.generate(duration, seed);
-        let events =
-            OpenSystemSpec::verification_events(&arrivals, &spec.initial_lifetimes(seed));
-        let est = RateEstimate::from_events(
-            &events,
-            spec.initial_population(),
-            duration,
-            3600.0,
-        );
+        let events = OpenSystemSpec::verification_events(&arrivals, &spec.initial_lifetimes(seed));
+        let est = RateEstimate::from_events(&events, spec.initial_population(), duration, 3600.0);
         let day = &est.population[24..];
         let hi = day.iter().copied().fold(f64::MIN, f64::max);
         let lo = day.iter().copied().fold(f64::MAX, f64::min);
@@ -575,12 +564,13 @@ mod tests {
         let rel = (mean / spec.target_population - 1.0).abs();
         assert!(rel < 0.10, "mean population off by {rel:.3}");
         // Population peaks in the afternoon, not at night.
-        let peak_w = 24 + day
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let peak_w = 24
+            + day
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
         let peak_hour = (peak_w % 24) as f64;
         assert!(
             (10.0..=20.0).contains(&peak_hour),

@@ -34,7 +34,7 @@ fn main() {
         "switches",
         "worst overdemand %",
     ]);
-    let mut row = |result: ecocloud::dcsim::SimResult| {
+    let mut row = |result: SimResult| {
         let s = result.summary;
         table.push_row([
             result.policy_name.clone(),

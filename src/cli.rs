@@ -214,7 +214,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut resume = None;
     let mut positional = Vec::new();
 
-    let take_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
+    let take_value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
                       flag: &str|
      -> Result<String, String> {
         it.next()
@@ -303,9 +303,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     match cmd.as_str() {
         "run" => {
             if checkpoint.is_some() != checkpoint_every_hours.is_some() {
-                return Err(
-                    "--checkpoint and --checkpoint-every must be used together".to_string()
-                );
+                return Err("--checkpoint and --checkpoint-every must be used together".to_string());
             }
             Ok(Command::Run(RunArgs {
                 scenario,
@@ -563,17 +561,17 @@ fn print_result(res: &mut SimResult) {
         );
         println!(
             "invitations       : {} sent = {} accept + {} decline + {} lost + {} late",
-            s.invitations_sent, s.invite_accepts, s.invite_declines, s.invite_losses,
+            s.invitations_sent,
+            s.invite_accepts,
+            s.invite_declines,
+            s.invite_losses,
             s.invite_timeouts
         );
         println!(
             "commits           : {} sent, {} NACKed, {} lost, {} re-broadcasts",
             s.commits_sent, s.commit_nacks, s.commit_losses, s.exchange_rebroadcasts
         );
-        println!(
-            "placement p99     : {} s",
-            fmt_num(s.placement_p99_secs, 3)
-        );
+        println!("placement p99     : {} s", fmt_num(s.placement_p99_secs, 3));
     }
     if res.events.is_enabled() {
         println!("event log         : {} entries", res.events.len());
@@ -1144,16 +1142,17 @@ mod tests {
 
     #[test]
     fn unknown_churn_profile_is_an_error() {
-        let cmd = parse(&argv("run --servers 6 --vms 30 --hours 1 --churn bogus"))
-            .expect("parses");
+        let cmd = parse(&argv("run --servers 6 --vms 30 --hours 1 --churn bogus")).expect("parses");
         let err = execute(cmd).expect_err("must fail");
         assert!(err.contains("bogus"), "error must name the profile: {err}");
         let cmd = parse(&argv("sweep --seeds 1 --churn paper")).expect("parses");
         let err = execute(cmd).expect_err("paper is run-only");
         assert!(err.contains("paper"), "error must name the profile: {err}");
-        let cmd = parse(&argv("run --servers 6 --vms 30 --hours 1 --churn steady \
-                               --churn-share 1.5"))
-            .expect("parses");
+        let cmd = parse(&argv(
+            "run --servers 6 --vms 30 --hours 1 --churn steady \
+                               --churn-share 1.5",
+        ))
+        .expect("parses");
         assert!(execute(cmd).is_err(), "share outside [0, 1] must fail");
     }
 
@@ -1313,8 +1312,7 @@ mod tests {
 
     #[test]
     fn sweep_checkpoints_require_the_cache() {
-        let cmd = parse(&argv("sweep --seeds 1 --checkpoint-every 1 --no-cache"))
-            .expect("parses");
+        let cmd = parse(&argv("sweep --seeds 1 --checkpoint-every 1 --no-cache")).expect("parses");
         let err = execute(cmd).expect_err("must fail");
         assert!(err.contains("--no-cache"), "error must explain: {err}");
     }
@@ -1394,10 +1392,8 @@ mod tests {
         )
         .expect("checkpointed run");
         assert!(path.exists(), "snapshot must have been written");
-        execute(
-            parse(&argv(&format!("{base} --resume {}", path.display()))).expect("parses"),
-        )
-        .expect("resumed run");
+        execute(parse(&argv(&format!("{base} --resume {}", path.display()))).expect("parses"))
+            .expect("resumed run");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1473,13 +1469,9 @@ mod tests {
             .expect("snapshot");
         // The grid must pick the snapshot up, finish the run, and
         // produce the same artifact as an uninterrupted execution.
-        let outcome = sweep::run_grid_with_checkpoints(
-            std::slice::from_ref(&spec),
-            1,
-            &cache,
-            Some(3600.0),
-        )
-        .expect("grid");
+        let outcome =
+            sweep::run_grid_with_checkpoints(std::slice::from_ref(&spec), 1, &cache, Some(3600.0))
+                .expect("grid");
         assert_eq!(outcome.executed, 1);
         assert!(!ckpt.exists(), "snapshot must be cleaned up");
         let straight = spec.execute().expect("straight run");

@@ -440,7 +440,10 @@ impl RunSpec {
         let mut result = match run(resume) {
             Ok(r) => r,
             Err(e) if resume.is_some() => {
-                eprintln!("[sweep] {e}; restarting {} from scratch", self.artifact_name());
+                eprintln!(
+                    "[sweep] {e}; restarting {} from scratch",
+                    self.artifact_name()
+                );
                 run(None)?
             }
             Err(e) => return Err(e),
@@ -473,7 +476,12 @@ pub struct RunArtifact {
 }
 
 /// Names of the four sampled series an artifact carries, in order.
-pub const SERIES_NAMES: [&str; 4] = ["overall_load", "active_servers", "power_w", "overdemand_pct"];
+pub const SERIES_NAMES: [&str; 4] = [
+    "overall_load",
+    "active_servers",
+    "power_w",
+    "overdemand_pct",
+];
 
 /// Names of the four hourly counters an artifact carries, in order.
 pub const HOURLY_NAMES: [&str; 4] = [
@@ -636,7 +644,8 @@ impl RunArtifact {
                 Some("key") => {
                     let hex = it.next().ok_or("key line without value")?;
                     key = Some(
-                        u64::from_str_radix(hex, 16).map_err(|e| format!("bad key '{hex}': {e}"))?,
+                        u64::from_str_radix(hex, 16)
+                            .map_err(|e| format!("bad key '{hex}': {e}"))?,
                     );
                 }
                 Some("final_powered") => {
@@ -783,7 +792,8 @@ impl ArtifactCache {
             return Ok(());
         };
         let dir = path.parent().expect("cache path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let tmp = path.with_extension(format!("tmp{job}"));
         std::fs::write(&tmp, artifact.to_text())
             .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
@@ -870,7 +880,7 @@ pub fn run_grid_with_checkpoints(
                     };
                     spec.execute_with_checkpoints(ckpt.as_deref(), every_secs)
                         .and_then(|a| cache.store(spec, &a, i).map(|()| (a, provenance)))
-                        .map(|r| {
+                        .inspect(|_| {
                             // The artifact is durable; the snapshot
                             // (and its crash-safety siblings) served
                             // its purpose.
@@ -883,7 +893,6 @@ pub fn run_grid_with_checkpoints(
                                     let _ = std::fs::remove_file(path);
                                 }
                             }
-                            r
                         })
                 }
             };
@@ -1126,10 +1135,7 @@ mod tests {
              migrations=on,util=off);policy=ecocloud;faults=off;control=off;seed=42"
         );
         assert_eq!(spec.cache_key(), 0x8b13_1df3_a19a_1575);
-        assert_eq!(
-            spec.artifact_name(),
-            "ecocloud-s42-8b131df3a19a1575.ecor"
-        );
+        assert_eq!(spec.artifact_name(), "ecocloud-s42-8b131df3a19a1575.ecor");
     }
 
     #[test]

@@ -99,7 +99,11 @@ fn assert_resume_equivalent<P: Policy, F: Fn() -> P>(label: &str, scenario: &Sce
     let straight = run_straight(scenario, mk());
     let half = scenario.config.duration_secs / 2.0;
     let (continued, resumed) = run_interrupted(scenario, mk(), mk(), half, &spec);
-    assert_same_result(&format!("{label} (checkpoint perturbs)"), &straight, &continued);
+    assert_same_result(
+        &format!("{label} (checkpoint perturbs)"),
+        &straight,
+        &continued,
+    );
     assert_same_result(&format!("{label} (resume diverges)"), &straight, &resumed);
 }
 
@@ -219,17 +223,22 @@ mod chaos {
     }
 
     /// The CLI binary under chaos: cargo's build of `ecocloud-cli`,
-    /// unless `ECOCLOUD_CLI_BIN` names another.
-    fn cli_bin() -> Option<PathBuf> {
-        let path = std::env::var_os("ECOCLOUD_CLI_BIN")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(env!("CARGO_BIN_EXE_ecocloud-cli")));
-        path.exists().then_some(path)
+    /// which cargo always builds before an integration test.
+    fn cli_bin() -> &'static Path {
+        Path::new(env!("CARGO_BIN_EXE_ecocloud-cli"))
     }
 
     fn scenario_args() -> [&'static str; 10] {
         [
-            "run", "--servers", "30", "--vms", "180", "--hours", "6", "--seed", "77",
+            "run",
+            "--servers",
+            "30",
+            "--vms",
+            "180",
+            "--hours",
+            "6",
+            "--seed",
+            "77",
             "--faults", // profile value appended by caller
         ]
     }
@@ -244,22 +253,13 @@ mod chaos {
 
     fn remove_snapshot_family(ckpt: &Path) {
         for suffix in ["", ".prev", ".tmp"] {
-            let _ = std::fs::remove_file(PathBuf::from(format!(
-                "{}{suffix}",
-                ckpt.display()
-            )));
+            let _ = std::fs::remove_file(PathBuf::from(format!("{}{suffix}", ckpt.display())));
         }
     }
 
     #[test]
     fn killed_and_resumed_run_matches_straight_run_byte_for_byte() {
-        let Some(bin) = cli_bin() else {
-            eprintln!(
-                "chaos harness skipped: CLI binary not built \
-                 (run `cargo build --release --bin ecocloud-cli` or set ECOCLOUD_CLI_BIN)"
-            );
-            return;
-        };
+        let bin = cli_bin();
         let dir = std::env::temp_dir().join(format!("ecocloud_chaos_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -269,7 +269,7 @@ mod chaos {
         // checkpoint progress goes to stderr, so any checkpointed /
         // killed / resumed execution of the same spec must reproduce
         // these bytes exactly.
-        let straight = base_cmd(&bin)
+        let straight = base_cmd(bin)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .output()
@@ -289,7 +289,7 @@ mod chaos {
         // execution must still match the golden stdout.
         while (kills < 10 || final_stdout.is_none()) && attempts < 300 {
             attempts += 1;
-            let mut cmd = base_cmd(&bin);
+            let mut cmd = base_cmd(bin);
             cmd.arg("--checkpoint")
                 .arg(&ckpt)
                 .args(["--checkpoint-every", "0.25"]);
@@ -338,21 +338,16 @@ mod chaos {
             last, straight.stdout,
             "final resumed run diverged from the straight run"
         );
-        eprintln!(
-            "chaos harness: {kills} kills, {completions} completions, {attempts} attempts"
-        );
+        eprintln!("chaos harness: {kills} kills, {completions} completions, {attempts} attempts");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_from_missing_snapshot_exits_one_naming_the_file() {
-        let Some(bin) = cli_bin() else {
-            eprintln!("chaos harness skipped: CLI binary not built");
-            return;
-        };
+        let bin = cli_bin();
         let missing = std::env::temp_dir().join("ecocloud_definitely_missing.ckpt");
         let _ = std::fs::remove_file(&missing);
-        let out = base_cmd(&bin)
+        let out = base_cmd(bin)
             .arg("--resume")
             .arg(&missing)
             .output()
@@ -367,17 +362,14 @@ mod chaos {
 
     #[test]
     fn resume_from_truncated_snapshot_exits_one_with_reason() {
-        let Some(bin) = cli_bin() else {
-            eprintln!("chaos harness skipped: CLI binary not built");
-            return;
-        };
+        let bin = cli_bin();
         let dir = std::env::temp_dir().join(format!("ecocloud_trunc_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let ckpt = dir.join("t.ckpt");
         // Write a real snapshot, then truncate it with no .prev to
         // fall back to: the CLI must exit 1 and explain.
-        let status = base_cmd(&bin)
+        let status = base_cmd(bin)
             .arg("--checkpoint")
             .arg(&ckpt)
             .args(["--checkpoint-every", "1"])
@@ -389,7 +381,7 @@ mod chaos {
         let bytes = std::fs::read(&ckpt).expect("snapshot exists");
         std::fs::write(&ckpt, &bytes[..bytes.len() / 2]).expect("truncate");
         let _ = std::fs::remove_file(PathBuf::from(format!("{}.prev", ckpt.display())));
-        let out = base_cmd(&bin)
+        let out = base_cmd(bin)
             .arg("--resume")
             .arg(&ckpt)
             .output()

@@ -17,7 +17,7 @@ fn staggered_scenario(n_servers: usize, n_vms: usize, spacing_secs: f64, seed: u
         ..TraceConfig::small(seed)
     });
     let spawns = (0..n_vms)
-        .map(|i| ecocloud::dcsim::VmSpawn {
+        .map(|i| dcsim::VmSpawn {
             trace_idx: i,
             arrive_secs: (i as f64 + 1.0) * spacing_secs,
             lifetime_secs: None,
@@ -45,7 +45,7 @@ fn staggered_scenario(n_servers: usize, n_vms: usize, spacing_secs: f64, seed: u
 
 /// Extracts the placement decision sequence from an event log:
 /// `(vm, Some(server))` for placements, `(vm, None)` for drops.
-fn decisions(res: &ecocloud::dcsim::SimResult) -> Vec<(u32, Option<u32>)> {
+fn decisions(res: &SimResult) -> Vec<(u32, Option<u32>)> {
     res.events
         .events()
         .iter()
@@ -57,7 +57,7 @@ fn decisions(res: &ecocloud::dcsim::SimResult) -> Vec<(u32, Option<u32>)> {
         .collect()
 }
 
-fn assert_conservation(sum: &ecocloud::dcsim::stats::SimSummary) {
+fn assert_conservation(sum: &dcsim::stats::SimSummary) {
     assert_eq!(
         sum.invitations_sent,
         sum.invite_accepts + sum.invite_declines + sum.invite_losses + sum.invite_timeouts,
@@ -211,7 +211,7 @@ fn stale_commit_is_nacked_and_retried_to_exhaustion() {
     // VM 0 is pre-spread onto the lone server at t = 0 (keeping it
     // active); VMs 1 and 2 arrive together and race for the last slot.
     let spawns = (0..3)
-        .map(|i| ecocloud::dcsim::VmSpawn {
+        .map(|i| dcsim::VmSpawn {
             trace_idx: i,
             arrive_secs: if i == 0 { 0.0 } else { 60.0 },
             lifetime_secs: None,
@@ -297,14 +297,14 @@ impl Policy for MigrateViaExchange {
         _view: &ClusterView<'_>,
         server: ServerId,
         _now_secs: f64,
-    ) -> Option<ecocloud::dcsim::MigrationRequest> {
+    ) -> Option<dcsim::MigrationRequest> {
         if server != ServerId(0) || self.done {
             return None;
         }
         self.done = true;
-        Some(ecocloud::dcsim::MigrationRequest {
-            vm: ecocloud::dcsim::VmId(0),
-            kind: ecocloud::dcsim::MigrationKind::High,
+        Some(dcsim::MigrationRequest {
+            vm: dcsim::VmId(0),
+            kind: dcsim::MigrationKind::High,
         })
     }
 }
@@ -324,7 +324,7 @@ fn departure_mid_exchange_aborts_without_migrating() {
     // monitor tick (t = 1, interval 2 s over two servers) starts the
     // migration exchange; its collection window closes at t = 1.5, so
     // the departure at t = 1.3 lands mid-exchange.
-    let spawns = vec![ecocloud::dcsim::VmSpawn {
+    let spawns = vec![dcsim::VmSpawn {
         trace_idx: 0,
         arrive_secs: 0.0,
         lifetime_secs: Some(1.3),

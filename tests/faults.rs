@@ -60,7 +60,11 @@ fn replay_log(n_servers: usize, res: &SimResult) {
                 state[at(server)] = ReplayState::Failed;
             }
             SimEvent::ServerRepaired { server, .. } => {
-                assert_eq!(state[at(server)], ReplayState::Failed, "repair without crash");
+                assert_eq!(
+                    state[at(server)],
+                    ReplayState::Failed,
+                    "repair without crash"
+                );
                 state[at(server)] = ReplayState::Hibernated;
             }
             SimEvent::WakeFailed { server, .. } => {

@@ -23,7 +23,7 @@ fn scenario(n_servers: usize, n_vms: usize, hours: u64, seed: u64, migrations: b
     s
 }
 
-fn check_universal_invariants(scenario: &Scenario, res: &ecocloud::dcsim::SimResult) {
+fn check_universal_invariants(scenario: &Scenario, res: &SimResult) {
     // VM conservation: everything spawned is either alive or dropped
     // (this workload has no departures).
     assert_eq!(

@@ -131,8 +131,14 @@ fn churn_sweep_is_thread_count_invariant() {
         assert_eq!(a.summary.energy_kwh, b.summary.energy_kwh);
         assert_eq!(a.summary.vms_arrived, b.summary.vms_arrived);
         assert_eq!(a.summary.vms_departed, b.summary.vms_departed);
-        assert_eq!(a.summary.total_low_migrations, b.summary.total_low_migrations);
-        assert_eq!(a.summary.total_high_migrations, b.summary.total_high_migrations);
+        assert_eq!(
+            a.summary.total_low_migrations,
+            b.summary.total_low_migrations
+        );
+        assert_eq!(
+            a.summary.total_high_migrations,
+            b.summary.total_high_migrations
+        );
         assert_eq!(a.hourly, b.hourly);
     }
     // All four specs are distinct cache keys.

@@ -89,8 +89,7 @@ impl Scripted {
             let mut st = self.state.lock().expect("scheduler lock");
             // Wait until the previous grant is consumed and every
             // worker is settled: blocked at a gate or done.
-            while st.token.is_some()
-                || (0..WORKERS).any(|w| st.waiting[w].is_none() && !st.done[w])
+            while st.token.is_some() || (0..WORKERS).any(|w| st.waiting[w].is_none() && !st.done[w])
             {
                 st = self.cv.wait(st).expect("scheduler wait");
             }
@@ -141,7 +140,12 @@ fn feasible_schedules() -> BTreeSet<Vec<Step>> {
         Writing,
         Done,
     }
-    fn rec(workers: [W; WORKERS], claims: usize, prefix: &mut Vec<Step>, out: &mut BTreeSet<Vec<Step>>) {
+    fn rec(
+        workers: [W; WORKERS],
+        claims: usize,
+        prefix: &mut Vec<Step>,
+        out: &mut BTreeSet<Vec<Step>>,
+    ) {
         if workers.iter().all(|&w| matches!(w, W::Done)) {
             out.insert(prefix.clone());
             return;
@@ -216,7 +220,11 @@ fn every_interleaving_merges_byte_identically() {
             reference,
             "submission-order merge must be byte-identical under schedule {realized:?}"
         );
-        assert_eq!(realized.len(), STEPS, "schedule {realized:?} has a step miscount");
+        assert_eq!(
+            realized.len(),
+            STEPS,
+            "schedule {realized:?} has a step miscount"
+        );
 
         // Which worker won each successful claim (the first N claim
         // steps) — the work distribution this schedule forced.
