@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"ECOCKPT1";
 
 /// Bumped whenever the byte layout of any section changes.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 /// Version of the code that wrote a snapshot. Restoring across crate
 /// versions is refused: state layout is an internal detail and the
@@ -715,6 +715,26 @@ mod tests {
             }
         );
         assert!(!err.recoverable(), "version mismatch must not fall back");
+    }
+
+    /// Format 2 added the `traces` section (the engine's trace
+    /// cursors); a format-1 snapshot lacks it and must be refused by
+    /// the version gate, not decoded.
+    #[test]
+    fn format_1_snapshots_are_refused() {
+        assert_eq!(FORMAT_VERSION, 2);
+        let mut bytes = sample().to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&bytes[..bytes.len() - 8]);
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&bytes, "mem"),
+            Err(CheckpointError::FormatVersionMismatch {
+                found: 1,
+                expected: 2
+            })
+        );
     }
 
     #[test]

@@ -79,6 +79,8 @@ use crate::stats::{SimStats, SimSummary};
 use crate::vm::{Vm, VmState};
 use crate::workload::{InitialPlacement, Workload};
 use ecocloud_rng::{Rng, SeedableRng, StdRng};
+use ecocloud_traces::units::frac_to_mhz;
+use ecocloud_traces::{TraceCursor, TraceSet, VmTrace};
 
 /// Outcome of a completed run.
 #[derive(Debug)]
@@ -110,6 +112,10 @@ pub struct Simulation<P: Policy> {
     queue: EventQueue,
     stats: SimStats,
     workload: Workload,
+    /// One read cursor per trace of the workload. Every demand read is
+    /// at `now`, so reads of a trace only move forward and each cursor
+    /// walks its trace once; the trace set itself stays immutable.
+    cursors: Vec<TraceCursor>,
     now: f64,
     alive_count: usize,
     last_pop_accrual: f64,
@@ -167,6 +173,25 @@ fn expect_len<T>(v: Vec<T>, n: usize, what: &str) -> Result<Vec<T>, CheckpointEr
     }
 }
 
+/// Demand of trace `trace_idx` at global step `k`, in MHz, read through
+/// its cursor. Closed-system traces hold their last sample (they cover
+/// the run); with `wrap` (open system) they repeat so late arrivals
+/// keep their diurnal shape, and the read that wraps restarts the
+/// cursor. Takes fields, not `self`, so the demand sweep can read while
+/// it iterates the alive set.
+#[inline]
+fn trace_demand_mhz(
+    traces: &TraceSet,
+    cursors: &mut [TraceCursor],
+    wrap: bool,
+    trace_idx: usize,
+    k: usize,
+) -> f64 {
+    let trace = &traces.vms[trace_idx];
+    let j = trace.step_index(k, wrap);
+    frac_to_mhz(trace.sample_at(&mut cursors[trace_idx], j) as f64)
+}
+
 /// The control plane behind an exchange transition. Exchanges exist
 /// only while the message model is enabled, so every exchange handler
 /// may rely on it. Takes the field, not `self`, so callers keep
@@ -205,6 +230,7 @@ impl<P: Policy> Simulation<P> {
         // one pending departure per spawned VM (spawns are all enqueued
         // up front) plus a monitor chain per server.
         let queue = EventQueue::with_capacity(n_servers + workload.spawns.len());
+        let cursors = workload.traces.vms.iter().map(VmTrace::cursor).collect();
         let mut sim = Self {
             config,
             cluster,
@@ -212,6 +238,7 @@ impl<P: Policy> Simulation<P> {
             queue,
             stats: SimStats::new(),
             workload,
+            cursors,
             now: 0.0,
             alive_count: 0,
             last_pop_accrual: 0.0,
@@ -309,6 +336,9 @@ impl<P: Policy> Simulation<P> {
         self.encode_engine(&mut e);
         ckpt.push_section("engine", e.into_bytes());
         let mut e = Enc::new();
+        self.encode_traces(&mut e);
+        ckpt.push_section("traces", e.into_bytes());
+        let mut e = Enc::new();
         self.cluster.encode(&mut e);
         ckpt.push_section("cluster", e.into_bytes());
         let mut e = Enc::new();
@@ -362,6 +392,10 @@ impl<P: Policy> Simulation<P> {
 
         let mut d = Dec::new(ckpt.section("engine")?, "engine");
         sim.decode_engine(&mut d)?;
+        d.finish()?;
+
+        let mut d = Dec::new(ckpt.section("traces")?, "traces");
+        sim.decode_traces(&mut d)?;
         d.finish()?;
 
         let mut d = Dec::new(ckpt.section("cluster")?, "cluster");
@@ -509,6 +543,55 @@ impl<P: Policy> Simulation<P> {
         }
         self.wake_seq = expect_len(d.u32s()?, n, "wake_seq")?;
         self.wake_attempts = expect_len(d.u32s()?, n, "wake_attempts")?;
+        Ok(())
+    }
+
+    /// Trace cursors: 25 B each. Restoring them means a resume never
+    /// replays a trace from its start.
+    fn encode_traces(&self, e: &mut Enc) {
+        e.usize(self.cursors.len());
+        for c in &self.cursors {
+            e.u64(c.rng);
+            e.f64(c.x);
+            e.bool(c.bursting);
+            e.u32(c.next);
+            e.f32(c.last);
+        }
+    }
+
+    /// Inverse of [`encode_traces`](Self::encode_traces); checks the
+    /// count against the workload's traces and every cursor against
+    /// its trace.
+    fn decode_traces(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
+        let traces = &self.workload.traces.vms;
+        let n = d.usize()?;
+        if n != traces.len() {
+            return Err(CheckpointError::Corrupt(format!(
+                "{n} trace cursors for {} traces",
+                traces.len()
+            )));
+        }
+        d.check_remaining(n, 25)?;
+        for (i, trace) in traces.iter().enumerate() {
+            let c = TraceCursor {
+                rng: d.u64()?,
+                x: d.f64()?,
+                bursting: d.bool()?,
+                next: d.u32()?,
+                last: d.f32()?,
+            };
+            if c.next as usize > trace.steps() || !c.x.is_finite() || !(0.0..=1.0).contains(&c.last)
+            {
+                return Err(CheckpointError::Corrupt(format!(
+                    "trace cursor {i} is invalid (next {} of {} steps, x {}, last {})",
+                    c.next,
+                    trace.steps(),
+                    c.x,
+                    c.last
+                )));
+            }
+            self.cursors[i] = c;
+        }
         Ok(())
     }
 
@@ -799,24 +882,22 @@ impl<P: Policy> Simulation<P> {
         }
     }
 
-    /// Trace demand lookup honoring the workload's wrapping mode:
-    /// closed-system traces hold their last sample (they cover the
-    /// run), open-system traces repeat so late arrivals keep their
-    /// diurnal shape.
-    fn trace_demand_mhz(&self, trace_idx: usize, t_secs: f64) -> f64 {
-        let step = self.workload.traces.config.step_secs;
-        let trace = &self.workload.traces.vms[trace_idx];
-        if self.workload.wrap_traces {
-            trace.demand_mhz_at_wrapped(t_secs, step)
-        } else {
-            trace.demand_mhz_at(t_secs, step)
-        }
+    /// Global trace step that covers `now`.
+    fn trace_step(&self) -> usize {
+        (self.now / self.workload.traces.config.step_secs as f64) as usize
     }
 
     fn on_spawn(&mut self, spawn_idx: usize) {
         let spawn = self.workload.spawns[spawn_idx].clone();
         let vm_id = VmId(self.cluster.vms.len() as u32);
-        let demand = self.trace_demand_mhz(spawn.trace_idx, self.now);
+        let k = self.trace_step();
+        let demand = trace_demand_mhz(
+            &self.workload.traces,
+            &mut self.cursors,
+            self.workload.wrap_traces,
+            spawn.trace_idx,
+            k,
+        );
         self.cluster.vms.push(Vm {
             id: vm_id,
             trace_idx: spawn.trace_idx,
@@ -925,10 +1006,17 @@ impl<P: Policy> Simulation<P> {
         // once (its flag dedups), so the sort below covers at most the
         // powered servers, not every changed VM.
         let mut dirty = std::mem::take(&mut self.demand_dirty_ids);
+        let k = self.trace_step();
         for &vm_id in self.alive_vms.as_slice() {
             let vm_idx = vm_id as usize;
             let trace_idx = self.cluster.vms[vm_idx].trace_idx;
-            let new_demand = self.trace_demand_mhz(trace_idx, self.now);
+            let new_demand = trace_demand_mhz(
+                &self.workload.traces,
+                &mut self.cursors,
+                self.workload.wrap_traces,
+                trace_idx,
+                k,
+            );
             if new_demand == self.cluster.vms[vm_idx].demand_mhz {
                 continue;
             }
@@ -2945,5 +3033,73 @@ mod tests {
             })
             .expect("open episode was not flushed");
         assert_eq!(flushed, (3600.0, 3600.0));
+    }
+
+    /// A snapshot's `traces` section carries every cursor (count, then
+    /// 25 B each: rng u64, x f64, bursting u8, next u32, last f32). A
+    /// hostile section is refused with `Corrupt`, never a panic, and
+    /// the untouched one restores.
+    #[test]
+    fn hostile_trace_cursor_section_is_refused() {
+        let make = || {
+            (
+                Fleet::uniform(6, 6),
+                Workload::all_vms_from_start(small_traces(4)),
+                quick_config(),
+            )
+        };
+        let (fleet, workload, config) = make();
+        let mut sim = Simulation::new(fleet, workload, config, FirstFit);
+        while sim.now() < 3600.0 && sim.step().is_some() {}
+        let ckpt = sim.checkpoint("t", 0);
+        let good = ckpt.section("traces").expect("traces section").to_vec();
+        assert_eq!(good.len(), 8 + 4 * 25);
+        assert!(
+            sim.cursors.iter().all(|c| c.next == 12),
+            "cursors stand at hour 1"
+        );
+        let restore = |traces: Vec<u8>| {
+            let mut bad = Checkpoint::new("t", 0, ckpt.sim_time_secs);
+            for (name, bytes) in ckpt.sections() {
+                let bytes = if name == "traces" {
+                    traces.clone()
+                } else {
+                    bytes.clone()
+                };
+                bad.push_section(name, bytes);
+            }
+            let (fleet, workload, config) = make();
+            Simulation::restore_from(fleet, workload, config, FirstFit, &bad, "t").map(|_| ())
+        };
+        assert_eq!(restore(good.clone()), Ok(()));
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let cursor = |i: usize| 8 + 25 * i;
+        let steps = small_traces(1).vms[0].steps() as u32;
+        let mut wrong_count = patched(0, &3u64.to_le_bytes());
+        wrong_count.truncate(cursor(3));
+        let cases = [
+            ("wrong count", wrong_count),
+            ("inflated length", patched(0, &u64::MAX.to_le_bytes())),
+            (
+                "next > steps",
+                patched(cursor(2) + 17, &(steps + 1).to_le_bytes()),
+            ),
+            ("NaN last", patched(cursor(1) + 21, &f32::NAN.to_le_bytes())),
+            ("last > 1", patched(cursor(1) + 21, &1.5f32.to_le_bytes())),
+            ("NaN x", patched(cursor(3) + 8, &f64::NAN.to_le_bytes())),
+            ("bad bool", patched(cursor(0) + 16, &[7])),
+            ("truncated", good[..good.len() - 1].to_vec()),
+            ("trailing byte", [good.clone(), vec![0]].concat()),
+        ];
+        for (what, bytes) in cases {
+            match restore(bytes) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -263,9 +263,12 @@ impl Workload {
     /// past the end of its trace would silently flatline at the last
     /// sample, so workloads whose traces are shorter than the VM's stay
     /// (clipped to the simulation horizon) are rejected, naming the
-    /// failing spawn.
+    /// failing spawn. A generated trace covers the set's
+    /// `duration_secs`; a recorded one covers its own samples, which
+    /// can be fewer (imported files of unequal length).
     pub fn validate_for(&self, horizon_secs: f64) {
-        let covered = self.traces.config.duration_secs as f64;
+        let set_covered = self.traces.config.duration_secs as f64;
+        let step = self.traces.config.step_secs;
         let mut last = 0.0f64;
         for (i, s) in self.spawns.iter().enumerate() {
             assert!(
@@ -283,6 +286,10 @@ impl Workload {
                 assert!(l > 0.0, "spawn {i} has non-positive lifetime");
             }
             if !self.wrap_traces {
+                let covered = match self.traces.vms[s.trace_idx].recorded_samples() {
+                    Some(samples) => (samples.len() as u64 * step) as f64,
+                    None => set_covered,
+                };
                 // The VM reads its trace until it departs or the run
                 // ends, whichever comes first.
                 let stay_end = match s.lifetime_secs {

@@ -41,10 +41,7 @@ fn sim_final_active_fraction(u_bar: f64, seed: u64) -> f64 {
             envelope: DiurnalEnvelope::flat(),
         },
         vms: (0..population)
-            .map(|_| VmTrace {
-                profile: VmProfile::constant(w_frac),
-                samples: vec![w_frac as f32; steps],
-            })
+            .map(|_| VmTrace::recorded(VmProfile::constant(w_frac), vec![w_frac as f32; steps]))
             .collect(),
     };
     let lifetime = 3600.0;

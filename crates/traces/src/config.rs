@@ -74,6 +74,10 @@ impl TraceConfig {
             self.duration_secs >= self.step_secs,
             "duration must cover at least one step"
         );
+        assert!(
+            u32::try_from(self.steps()).is_ok(),
+            "duration / step must fit in u32 steps"
+        );
     }
 }
 

@@ -14,6 +14,12 @@
 //! The decoder treats its input as hostile: every count is checked
 //! against the bytes that remain before anything is allocated, so a
 //! corrupt file yields an `Err`, never a panic or an oversized buffer.
+//! It also rejects what would decode but mislead a run: a VM with no
+//! samples, a sample that is NaN or outside [0, 1], a header `n_vms`
+//! that disagrees with the VM count, and bytes after the last VM.
+//!
+//! Decoded traces are recorded traces (they keep their samples); a
+//! generated set is encoded by replaying each trace once.
 
 use crate::config::TraceConfig;
 use crate::diurnal::DiurnalEnvelope;
@@ -42,7 +48,7 @@ fn put_u32(buf: &mut Vec<u8>, x: usize) {
 
 /// Encodes a trace set into the binary format.
 pub fn to_binary(set: &TraceSet) -> Vec<u8> {
-    let samples_total: usize = set.vms.iter().map(|v| v.samples.len()).sum();
+    let samples_total: usize = set.vms.iter().map(VmTrace::steps).sum();
     let mut buf =
         Vec::with_capacity(6 + CONFIG_LEN + 8 + set.len() * (PROFILE_LEN + 4) + 4 * samples_total);
     buf.extend_from_slice(MAGIC);
@@ -81,8 +87,8 @@ pub fn to_binary(set: &TraceSet) -> Vec<u8> {
     }
     put_u32(&mut buf, set.len());
     for vm in &set.vms {
-        put_u32(&mut buf, vm.samples.len());
-        for &s in &vm.samples {
+        put_u32(&mut buf, vm.steps());
+        for s in vm.samples() {
             buf.extend_from_slice(&s.to_le_bytes());
         }
     }
@@ -189,15 +195,28 @@ pub fn from_binary(data: &[u8]) -> io::Result<TraceSet> {
     if n_vms != profiles.len() {
         return Err(invalid("profile count mismatch"));
     }
+    if config.n_vms != n_vms {
+        return Err(invalid("header n_vms disagrees with the VM count"));
+    }
     let mut vms = Vec::with_capacity(n_vms);
     for profile in profiles {
         let n = r.count(4, "sample count")?;
-        let samples = r
+        if n == 0 {
+            return Err(invalid("VM with no samples"));
+        }
+        let samples: Vec<f32> = r
             .take(4 * n, "samples")?
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4")))
             .collect();
-        vms.push(VmTrace { profile, samples });
+        // NaN fails the range check too.
+        if !samples.iter().all(|s| (0.0..=1.0).contains(s)) {
+            return Err(invalid("sample outside [0, 1]"));
+        }
+        vms.push(VmTrace::recorded(profile, samples));
+    }
+    if !r.data.is_empty() {
+        return Err(invalid("trailing bytes after the last VM"));
     }
     Ok(TraceSet { config, vms })
 }
@@ -243,7 +262,8 @@ mod tests {
         assert_eq!(back.len(), s.len());
         assert_eq!(format!("{:?}", back.config), format!("{:?}", s.config));
         for (a, b) in s.vms.iter().zip(&back.vms) {
-            assert_eq!(a.samples, b.samples);
+            assert!(a.samples().eq(b.samples()));
+            assert_eq!(b.recorded_samples().map(<[f32]>::len), Some(a.steps()));
             assert_eq!(profile_bits(&a.profile), profile_bits(&b.profile));
         }
     }
@@ -274,6 +294,55 @@ mod tests {
             let mut bad = bin.clone();
             bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             assert!(from_binary(&bad).is_err(), "count at byte {at} accepted");
+        }
+    }
+
+    /// Byte offset of the first VM's sample count.
+    fn first_sample_count_at(s: &TraceSet) -> usize {
+        6 + CONFIG_LEN + 4 + s.len() * PROFILE_LEN + 4
+    }
+
+    #[test]
+    fn rejects_vm_without_samples() {
+        let s = set();
+        let mut bin = to_binary(&s);
+        let at = first_sample_count_at(&s);
+        let n = s.vms[0].steps();
+        bin[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        bin.drain(at + 4..at + 4 + 4 * n);
+        let err = from_binary(&bin).expect_err("empty series accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_nan_and_out_of_range_samples() {
+        let s = set();
+        let bin = to_binary(&s);
+        let at = first_sample_count_at(&s) + 4 + 4 * 3;
+        for bad_sample in [f32::NAN, 1.5, -0.25, f32::INFINITY] {
+            let mut bad = bin.clone();
+            bad[at..at + 4].copy_from_slice(&bad_sample.to_le_bytes());
+            let err = from_binary(&bad).expect_err("bad sample accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad_sample}");
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut bin = to_binary(&set());
+        bin.push(0);
+        let err = from_binary(&bin).expect_err("trailing byte accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_header_vm_count_mismatch() {
+        let s = set();
+        let mut bin = to_binary(&s);
+        for header in [s.len() as u64 + 1, s.len() as u64 - 1, u64::MAX] {
+            bin[6..14].copy_from_slice(&header.to_le_bytes());
+            let err = from_binary(&bin).expect_err("header n_vms accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{header}");
         }
     }
 

@@ -45,6 +45,6 @@ pub use arrivals::{ArrivalEvent, ArrivalProcess, RateEstimate};
 pub use churn::{Archetype, ChurnArrival, ChurnClass, OpenSystemSpec};
 pub use config::TraceConfig;
 pub use diurnal::DiurnalEnvelope;
-pub use generator::{TraceSet, VmTrace};
+pub use generator::{TraceCursor, TraceSet, VmTrace};
 pub use profile::VmProfile;
 pub use units::{MhzPerCore, REFERENCE_HOST_MHZ, TRACE_STEP_SECS};

@@ -113,7 +113,7 @@ pub fn import_dir(dir: &Path, step_secs: u64) -> io::Result<TraceSet> {
         })?;
         max_steps = max_steps.max(samples.len());
         let profile = profile_from_series(&samples);
-        vms.push(VmTrace { profile, samples });
+        vms.push(VmTrace::recorded(profile, samples));
     }
     let config = TraceConfig {
         n_vms: vms.len(),
@@ -177,7 +177,7 @@ mod tests {
         // Lexicographic order: vm_a first, with the smallest mean.
         assert!(set.vms[0].profile.mean_frac < set.vms[2].profile.mean_frac);
         // Samples round-trip as fractions.
-        assert!((set.vms[0].samples[0] - 0.05).abs() < 1e-6);
+        assert!((set.vms[0].recorded_samples().expect("recorded")[0] - 0.05).abs() < 1e-6);
         // Demand lookup works like synthetic traces.
         assert!(set.vms[2].demand_mhz_at(0.0, 300) > 0.0);
         let _ = fs::remove_dir_all(&dir);

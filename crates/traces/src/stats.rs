@@ -14,17 +14,28 @@ pub fn avg_utilization_histogram(set: &TraceSet, bins: usize) -> Histogram {
     h
 }
 
+/// Calls `f` with `sample − mean` for every sample of every VM, where
+/// `mean` is the VM's [`crate::VmTrace::measured_mean_frac`]: one
+/// forward pass per trace, buffered so the mean and the deviations
+/// read the same replay.
+fn for_each_deviation(set: &TraceSet, mut f: impl FnMut(f64)) {
+    let mut buf: Vec<f32> = Vec::new();
+    for vm in &set.vms {
+        buf.clear();
+        buf.extend(vm.samples());
+        let mean = buf.iter().map(|&s| s as f64).sum::<f64>() / buf.len() as f64;
+        for &s in &buf {
+            f(s as f64 - mean);
+        }
+    }
+}
+
 /// Distribution of the deviation between punctual and per-VM average
 /// utilization, in percentage points (the paper's Fig. 5: x from -40 to
 /// +40).
 pub fn deviation_histogram(set: &TraceSet, bins: usize) -> Histogram {
     let mut h = Histogram::new(-40.0, 40.0, bins);
-    for vm in &set.vms {
-        let mean = vm.measured_mean_frac();
-        for &s in &vm.samples {
-            h.push((s as f64 - mean) * 100.0);
-        }
-    }
+    for_each_deviation(set, |d| h.push(d * 100.0));
     h
 }
 
@@ -33,16 +44,12 @@ pub fn deviation_histogram(set: &TraceSet, bins: usize) -> Histogram {
 pub fn fraction_within_deviation(set: &TraceSet, points: f64) -> f64 {
     let mut within = 0u64;
     let mut total = 0u64;
-    for vm in &set.vms {
-        let mean = vm.measured_mean_frac();
-        for &s in &vm.samples {
-            let dev = (s as f64 - mean).abs() * 100.0;
-            if dev <= points {
-                within += 1;
-            }
-            total += 1;
+    for_each_deviation(set, |d| {
+        if d.abs() * 100.0 <= points {
+            within += 1;
         }
-    }
+        total += 1;
+    });
     if total == 0 {
         0.0
     } else {
@@ -53,11 +60,12 @@ pub fn fraction_within_deviation(set: &TraceSet, points: f64) -> f64 {
 /// Overall load of the trace set relative to a given total capacity, at
 /// each trace step — the black reference dots of the paper's Fig. 6.
 pub fn overall_load_series(set: &TraceSet, total_capacity_mhz: f64) -> Vec<(f64, f64)> {
-    let steps = set.config.steps();
-    (0..steps)
-        .map(|k| {
+    set.total_demand_series_mhz()
+        .into_iter()
+        .enumerate()
+        .map(|(k, total)| {
             let t = (k as u64 * set.config.step_secs) as f64;
-            (t, set.total_demand_mhz_at(t) / total_capacity_mhz)
+            (t, total / total_capacity_mhz)
         })
         .collect()
 }

@@ -28,9 +28,8 @@ fn main() -> std::io::Result<()> {
     });
     for (i, vm) in synthetic.vms.iter().enumerate() {
         let content: String = vm
-            .samples
-            .iter()
-            .map(|&s| format!("{}\n", ((s as f64) * 100.0).round() as u32))
+            .samples()
+            .map(|s| format!("{}\n", ((s as f64) * 100.0).round() as u32))
             .collect();
         fs::write(dir.join(format!("vm_{i:04}")), content)?;
     }

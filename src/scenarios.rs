@@ -223,17 +223,9 @@ impl Scenario {
     /// (sanity statistic used by tests and reports).
     pub fn mean_overall_load(&self) -> f64 {
         let cap = self.fleet.total_capacity_mhz();
-        let steps = self.workload.traces.config.steps();
-        let step = self.workload.traces.config.step_secs;
-        let sum: f64 = (0..steps)
-            .map(|k| {
-                self.workload
-                    .traces
-                    .total_demand_mhz_at((k as u64 * step) as f64)
-                    / cap
-            })
-            .sum();
-        sum / steps as f64
+        let totals = self.workload.traces.total_demand_series_mhz();
+        let sum: f64 = totals.iter().map(|total| total / cap).sum();
+        sum / totals.len() as f64
     }
 }
 
