@@ -134,6 +134,20 @@ impl HotFleet {
         }
     }
 
+    /// True when server `i` is powered (active or waking): the power
+    /// tag mirrors [`Server::is_powered`] without loading the cold
+    /// struct.
+    #[inline]
+    pub fn is_powered(&self, i: usize) -> bool {
+        self.power_tag[i] != TAG_OFF
+    }
+
+    /// True when server `i` is active, mirroring [`Server::is_active`].
+    #[inline]
+    pub fn is_active(&self, i: usize) -> bool {
+        self.power_tag[i] == TAG_ACTIVE
+    }
+
     /// Instantaneous power draw of server `i`, watts: nothing while
     /// off, idle draw while waking, the linear curve while active.
     #[inline]

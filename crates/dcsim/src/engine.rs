@@ -1043,28 +1043,40 @@ impl<P: Policy> Simulation<P> {
     }
 
     fn on_monitor_tick(&mut self, sid: ServerId) {
+        let i = sid.index();
         // Every tick re-anchors the chain phase: `now` is always the
         // result of repeated `+ interval` additions from the initial
         // stagger offset, so a chain resumed from this anchor lands on
         // bit-identical tick times.
-        self.monitor_anchor[sid.index()] = self.now;
-        if !self.cluster.servers[sid.index()].is_powered() {
+        self.monitor_anchor[i] = self.now;
+        if !self.cluster.hot().is_powered(i) {
             // A hibernated server's ticks were pure no-ops that kept
             // rescheduling themselves — the dominant event volume in a
             // consolidated fleet. Park the chain instead; `wake_server`
             // restarts it in phase.
-            self.monitor_scheduled[sid.index()] = false;
+            self.monitor_scheduled[i] = false;
             return;
         }
         // Reschedule before running the policy so a panic in the policy
         // cannot silently stop a server's monitor.
         let next = self.now + self.config.monitor_interval_secs;
         if next <= self.config.duration_secs {
-            self.queue.schedule_chain(next, Event::MonitorTick(sid));
+            self.queue.schedule_monitor(next, Event::MonitorTick(sid));
         } else {
-            self.monitor_scheduled[sid.index()] = false;
+            self.monitor_scheduled[i] = false;
         }
-        if !self.cluster.servers[sid.index()].is_active() {
+        let hot = self.cluster.hot();
+        if !hot.is_active(i) {
+            return;
+        }
+        // Inside the policy's quiet band `monitor` would return `None`
+        // without drawing or changing anything, so skip the call; the
+        // tick itself (anchor, reschedule, event count) already ran.
+        if self
+            .policy
+            .quiet_band(self.cluster.n_servers())
+            .is_some_and(|band| band.contains(&hot.utilization(i)))
+        {
             return;
         }
         let Some(req) = self.policy.monitor(&self.cluster.view(), sid, self.now) else {

@@ -1,25 +1,34 @@
-//! The event calendar.
+//! The event queue: a monitor lane beside an event calendar.
 //!
-//! A bucketed calendar queue over `(time, sequence)` keys (Brown 1988)
-//! that sizes itself from the traffic it carries. It keeps a log2
-//! histogram of push horizons and, once per window of pushes, sets the
-//! wheel's span to the p95 horizon (a power of two) and its bucket
-//! count to the events pending inside that span. In an ecoCloud run
-//! the 5 s MonitorTick chains carry nearly all events, so the wheel
-//! settles on an 8 s span with 256–512 buckets, while
-//! everything later (demand and metrics sweeps, departures, repairs)
-//! waits in an overflow heap until the window reaches it. The monotone
-//! sequence number makes simultaneous events fire in insertion order,
-//! which — together with seeded RNGs — makes every run exactly
-//! reproducible.
+//! The calendar is a bucketed calendar queue over `(time, sequence)`
+//! keys (Brown 1988) that sizes itself from the traffic it carries. It
+//! keeps a log2 histogram of push horizons and, once per window of
+//! pushes, sets the wheel's span to the p95 horizon (a power of two)
+//! and its bucket count to the events pending inside that span.
+//!
+//! The 5 s MonitorTick chains are nearly every event of an ecoCloud
+//! run, and their re-pushes arrive in time order (each is `now +
+//! interval`, and `now` never decreases), so they bypass the calendar:
+//! [`EventQueue::schedule_monitor`] appends them to a FIFO lane, and a
+//! pop takes the lane's front or the calendar's minimum, whichever is
+//! first by `(time, seq)`. The calendar keeps the rest — the stagger
+//! and resumed ticks, sweeps, spawns, migration completions, wakes,
+//! departures, repairs, exchanges. On the 5k-server 48 h run that is
+//! 43 k of 9.18 M pushes, and the wheel settles on 64 buckets over a
+//! 128 s span (512 s for part of the run), with everything later
+//! waiting in an overflow heap until the window reaches it. The
+//! monotone sequence number, shared by both stores, makes
+//! simultaneous events fire in insertion order, which — together with
+//! seeded RNGs — makes every run exactly reproducible.
 //!
 //! Pop order is *identical* to the plain binary heap this replaced:
-//! each pop selects the `(time, seq)` minimum of the cursor bucket
-//! (the same total order the heap used), bucket membership partitions
-//! events by time, and every overflow event inside the window moves
-//! into the wheel before a pop selects a bucket. The geometry only
-//! decides where an event is stored, never which event pops next, so
-//! retunes cannot change the order. Debug-assertion builds enforce it
+//! each calendar pop selects the `(time, seq)` minimum of the cursor
+//! bucket (the same total order the heap used), bucket membership
+//! partitions events by time, and every overflow event inside the
+//! window moves into the wheel before a pop selects a bucket. The
+//! geometry only decides where an event is stored, never which event
+//! pops next, so retunes cannot change the order; nor can the lane,
+//! whose front is its minimum. Debug-assertion builds enforce it
 //! on every run with a pop-order law: each pop is strictly after the
 //! last, and at the end nothing pending lies before the last pop. The
 //! old heap survives outside the engine as [`ReferenceHeap`], the
@@ -29,7 +38,7 @@
 use crate::checkpoint::{CheckpointError, Dec, Enc};
 use crate::ids::{ServerId, VmId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Everything that can happen in the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,9 +240,10 @@ const INITIAL_SPAN_EXP: i32 = 9;
 /// span holds, and O(pending) when it moves.
 const RETUNE_WINDOW: u32 = 1 << 13;
 /// The span covers this percentile of push horizons. Not p99: on the
-/// 5k-server 48 h run migration completions make up ~1 % of pushes at
-/// 8–16 s, so p99 flips the span between 8 s and 16 s on most
-/// windows; p95 settles on 8 s.
+/// 5k-server 48 h run, while the 5 s chains still went through the
+/// calendar, migration completions made up ~1 % of pushes at 8–16 s,
+/// so p99 flipped the span between 8 s and 16 s on most windows; p95
+/// settled on 8 s.
 const SPAN_QUANTILE_PCT: u32 = 95;
 /// Log2 histogram bins of push horizons: bin `k` counts horizons in
 /// `[2^(k-1+MIN_SPAN_EXP), 2^(k+MIN_SPAN_EXP))` (bin 0 everything
@@ -342,9 +352,12 @@ struct Calendar {
     /// fall inside it; the `migrate_due` at the start of the next pop
     /// moves them in before any bucket is selected.
     overflow: BinaryHeap<Scheduled>,
-    /// Time of the last pop: the origin push horizons are measured from.
+    /// Time of the queue's last pop, from either store (the engine
+    /// clock): the origin push horizons are measured from. Set by
+    /// [`EventQueue::pop`], not by the calendar's own pop, so a run of
+    /// lane pops still moves it.
     now: f64,
-    /// Whether anything has been popped yet.
+    /// Whether the queue has popped anything yet.
     popped: bool,
     /// Log2 histogram of push horizons (`t - now`) in the current
     /// retune window.
@@ -563,54 +576,76 @@ impl Calendar {
         out
     }
 
+    /// Moves the cursor to the first occupied bucket, migrating the
+    /// overflow events its window reaches, and returns that bucket's
+    /// ring slot; `None` when nothing is stored. This is the cursor
+    /// motion of a pop, shared by [`peek`](Self::peek) so a peek
+    /// followed by a pop moves the cursor exactly as the pop alone.
+    /// Always inlined: out of line, the call slowed the calendar's pops
+    /// (`event_loop_snapshot --queue 5000 hold`: 11–14 M/s against
+    /// 15 M/s with the cursor jump inlined).
+    #[inline(always)]
+    fn seek(&mut self) -> Option<usize> {
+        if self.in_wheel == 0 {
+            // Everything pending is beyond the window: jump the cursor
+            // straight to the earliest overflow bucket.
+            let t = self.overflow.peek()?.t_secs;
+            self.base = self.bucket_of(t);
+        }
+        self.migrate_due();
+        // Jump the cursor to the first occupied bucket. Everything in
+        // the wheel sits inside the window `[base, base + n)`, so ring
+        // distance from the cursor slot is absolute order, and
+        // anything `migrate_due` later moves in is at or beyond the
+        // *old* window end — strictly later than this bucket. The jump
+        // therefore finds the same bucket a one-slot-at-a-time advance
+        // would.
+        let from = self.base as usize & self.mask;
+        let slot = self.next_occupied_slot(from);
+        self.base += (slot.wrapping_sub(from) & self.mask) as u64;
+        Some(slot)
+    }
+
+    /// The `(time, seq)` minimum, left in place. Moves the cursor as a
+    /// pop would (see [`seek`](Self::seek)), so events pushed after a
+    /// peek that fall before its bucket are clamped into it, as
+    /// stragglers always are.
+    fn peek(&mut self) -> Option<Scheduled> {
+        let slot = self.seek()?;
+        let inline = self.slots[slot][..self.lens[slot] as usize].iter();
+        let spill = self
+            .wheel_spill
+            .peek()
+            .filter(|top| self.bucket_of(top.t_secs) == self.base);
+        inline
+            .chain(spill)
+            .copied()
+            .reduce(|best, s| if earlier(&s, &best) { s } else { best })
+    }
+
     fn pop(&mut self) -> Option<Scheduled> {
-        if self.in_wheel == 0 && self.overflow.is_empty() {
-            return None;
+        let slot = self.seek()?;
+        let s = self.take_min_at(slot);
+        self.in_wheel -= 1;
+        if self.live[slot / 64] & (1u64 << (slot % 64)) != 0
+            && self.lens[slot] == 0
+            && self
+                .wheel_spill
+                .peek()
+                .is_none_or(|t| self.bucket_of(t.t_secs) != self.base)
+        {
+            self.live[slot / 64] &= !(1u64 << (slot % 64));
         }
-        loop {
-            if self.in_wheel == 0 {
-                // Everything pending is beyond the window: jump the
-                // cursor straight to the earliest overflow bucket.
-                let t = self.overflow.peek().expect("overflow non-empty").t_secs;
-                self.base = self.bucket_of(t);
-                self.migrate_due();
-                continue;
-            }
-            self.migrate_due();
-            // Jump the cursor to the first occupied bucket. Everything
-            // in the wheel sits inside the window `[base, base + n)`,
-            // so ring distance from the cursor slot is absolute order,
-            // and anything `migrate_due` later moves in is at or
-            // beyond the *old* window end — strictly later than this
-            // bucket. The jump therefore pops the same event a
-            // one-slot-at-a-time advance would.
-            let from = self.base as usize & self.mask;
-            let slot = self.next_occupied_slot(from);
-            self.base += (slot.wrapping_sub(from) & self.mask) as u64;
-            let s = self.take_min_at(slot);
-            self.in_wheel -= 1;
-            if self.live[slot / 64] & (1u64 << (slot % 64)) != 0
-                && self.lens[slot] == 0
-                && self
-                    .wheel_spill
-                    .peek()
-                    .is_none_or(|t| self.bucket_of(t.t_secs) != self.base)
-            {
-                self.live[slot / 64] &= !(1u64 << (slot % 64));
-            }
-            if self.in_wheel > 0 {
-                // Start pulling the next pop's bucket line in now; the
-                // caller's event handling overlaps the miss. The hint
-                // is only a guess (a later schedule may land earlier),
-                // so it can waste a line but never change behavior.
-                let next = self.next_occupied_slot(self.base as usize & self.mask);
-                prefetch(&self.lens[next]);
-                prefetch(&self.slots[next]);
-            }
-            self.now = s.t_secs;
-            self.popped = true;
-            return Some(s);
+        if self.in_wheel > 0 {
+            // Start pulling the next pop's bucket line in now; the
+            // caller's event handling overlaps the miss. The hint is
+            // only a guess (a later schedule may land earlier), so it
+            // can waste a line but never change behavior.
+            let next = self.next_occupied_slot(self.base as usize & self.mask);
+            prefetch(&self.lens[next]);
+            prefetch(&self.slots[next]);
         }
+        Some(s)
     }
 
     /// Every stored event (inline, spilled or overflow), unordered.
@@ -670,11 +705,22 @@ impl Calendar {
     }
 }
 
-/// Deterministic event queue: the calendar plus the sequence numbers,
-/// clock floor and pending count the engine needs around it.
+/// Deterministic event queue: the calendar, the monitor lane, and the
+/// sequence numbers, clock floor and pending count the engine needs
+/// around them.
 #[derive(Debug)]
 pub struct EventQueue {
     cal: Calendar,
+    /// The monitor lane: [`schedule_monitor`](Self::schedule_monitor)
+    /// pushes in nondecreasing time order, so a FIFO holds them in
+    /// `(time, seq)` order and its front is its minimum. A push that
+    /// would break the order goes to the calendar instead.
+    lane: VecDeque<Scheduled>,
+    /// The calendar's `(time, seq)` minimum while it is known, so a run
+    /// of lane pops compares against it without touching the calendar.
+    /// A calendar push lowers it, a calendar pop forgets it; `None`
+    /// means "not known", and the next pop that needs it peeks.
+    cal_min: Option<Scheduled>,
     len: usize,
     next_seq: u64,
     /// Current simulation time as reported by the driving engine via
@@ -710,10 +756,13 @@ impl EventQueue {
     /// doubles while a burst outgrows it, and from the first retune
     /// on takes its span and bucket count from the measured traffic —
     /// in both directions, so the ring the 5k-server t = 0 burst grows
-    /// to 8,192 buckets shrinks back to 256–512 once the burst drains.
+    /// to 8,192 buckets shrinks back to 64 at the first retune after
+    /// the burst drains.
     pub fn with_capacity(hint: usize) -> Self {
         EventQueue {
             cal: Calendar::new(hint),
+            lane: VecDeque::new(),
+            cal_min: None,
             len: 0,
             next_seq: 0,
             now_floor: 0.0,
@@ -729,12 +778,30 @@ impl EventQueue {
         self.now_floor = self.now_floor.max(now_secs);
     }
 
+    /// Numbers a new pending event. Both stores draw from the one
+    /// sequence, so `(time, seq)` stays a single total order.
     #[inline]
-    fn push(&mut self, t_secs: f64, event: Event) {
+    fn stamp(&mut self, t_secs: f64, event: Event) -> Scheduled {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.cal.push(Scheduled { t_secs, seq, event });
+        Scheduled { t_secs, seq, event }
+    }
+
+    #[inline]
+    fn push(&mut self, t_secs: f64, event: Event) {
+        let s = self.stamp(t_secs, event);
+        self.push_calendar(s);
+    }
+
+    /// Files `s` in the calendar, lowering the cached calendar minimum
+    /// if `s` now heads it.
+    #[inline]
+    fn push_calendar(&mut self, s: Scheduled) {
+        if self.cal_min.is_some_and(|m| earlier(&s, &m)) {
+            self.cal_min = Some(s);
+        }
+        self.cal.push(s);
     }
 
     /// Schedules `event` at absolute time `t_secs`.
@@ -783,13 +850,59 @@ impl EventQueue {
         self.push(t_secs, event);
     }
 
-    /// Removes and returns the earliest event as `(time, event)`.
+    /// [`schedule_chain`](Self::schedule_chain) for the monitor chains:
+    /// files `event` in the monitor lane when `t_secs` is not before
+    /// the lane's last entry, and in the calendar otherwise. Every
+    /// re-push of a monitor chain is at `now + monitor_interval`, and
+    /// `now` never decreases, so these pushes arrive sorted and the
+    /// calendar fallback only keeps the lane a FIFO whatever the
+    /// caller does. Same caller guarantees as `schedule_chain`.
+    #[inline]
+    pub fn schedule_monitor(&mut self, t_secs: f64, event: Event) {
+        debug_assert!(t_secs.is_finite(), "cannot schedule event at {t_secs}");
+        debug_assert!(
+            t_secs >= self.now_floor && t_secs >= 0.0,
+            "cannot schedule {event:?} at {t_secs}, before current simulation time {}",
+            self.now_floor
+        );
+        let s = self.stamp(t_secs, event);
+        if self.lane.back().is_none_or(|last| last.t_secs <= t_secs) {
+            self.lane.push_back(s);
+        } else {
+            self.push_calendar(s);
+        }
+    }
+
+    /// Removes and returns the earliest event as `(time, event)`: the
+    /// lane's front or the calendar's minimum, whichever is first by
+    /// `(time, seq)`.
     ///
     /// # Panics
     /// Debug builds enforce the pop half of the pop-order law: each
     /// pop's `(time, seq)` is strictly after the previous pop's.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        let s = self.cal.pop()?;
+        let from_lane = match self.lane.front() {
+            None => false,
+            Some(&front) => {
+                if self.cal_min.is_none() {
+                    self.cal_min = self.cal.peek();
+                }
+                self.cal_min.is_none_or(|m| earlier(&front, &m))
+            }
+        };
+        let s = if from_lane {
+            self.lane.pop_front()
+        } else {
+            let cached = self.cal_min.take();
+            let s = self.cal.pop();
+            debug_assert!(
+                cached.is_none_or(|m| s.is_some_and(|s| s.seq == m.seq)),
+                "calendar popped {s:?}, not its cached minimum {cached:?}"
+            );
+            s
+        }?;
+        self.cal.now = s.t_secs;
+        self.cal.popped = true;
         self.len -= 1;
         #[cfg(debug_assertions)]
         {
@@ -819,11 +932,16 @@ impl EventQueue {
     /// When either condition fails.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_pop_order_law(&self) {
-        for s in self.cal.entries() {
+        for s in self.entries() {
             self.assert_after_last_pop(s);
         }
-        let stored = self.cal.entries().count();
+        let stored = self.entries().count();
         assert_eq!(stored, self.len, "pop-order law broken: stored count");
+    }
+
+    /// Every pending event in either store, unordered.
+    fn entries(&self) -> impl Iterator<Item = &Scheduled> {
+        self.cal.entries().chain(self.lane.iter())
     }
 
     /// Number of pending events.
@@ -839,13 +957,13 @@ impl EventQueue {
     /// Captures the queue as `(entries, next_seq, now_floor)` for a
     /// checkpoint. Entries are every pending `(time, seq, event)`
     /// sorted by `(time, seq)` — the canonical form: two queues with
-    /// the same pending set produce the same bytes regardless of how
-    /// their wheels, spill heaps, or cursors currently lay the events
-    /// out, which is what makes re-snapshot byte-equality (the restore
-    /// oracle) hold.
+    /// the same pending set produce the same bytes regardless of which
+    /// store holds an event and of how their wheels, spill heaps, or
+    /// cursors currently lay the events out, which is what makes
+    /// re-snapshot byte-equality (the restore oracle) hold.
     pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
         let mut entries: Vec<Scheduled> = Vec::with_capacity(self.len);
-        entries.extend(self.cal.entries().copied());
+        entries.extend(self.entries().copied());
         debug_assert_eq!(
             entries.len(),
             self.len,
@@ -872,8 +990,10 @@ impl EventQueue {
     /// reorder simultaneous events). Pop order depends only on the
     /// `(time, seq)` total order — proven pop-for-pop identical to
     /// [`ReferenceHeap`] — so the rebuilt wheel's cursor starting at
-    /// zero instead of the original's advanced position, and its
-    /// default geometry until the first retune, are invisible.
+    /// zero instead of the original's advanced position, its default
+    /// geometry until the first retune, and every entry landing in the
+    /// calendar (the lane refills as the restored chains tick) are
+    /// invisible.
     pub(crate) fn restore_parts(
         entries: &[(f64, u64, Event)],
         next_seq: u64,
@@ -1518,6 +1638,146 @@ mod tests {
             assert!(q.cal.wheel_spill.is_empty(), "spill at t = {t}");
         }
         assert_eq!(pow2(q.cal.span_exp), 8.0);
+    }
+
+    /// [`engine_step`] with the engine's monitor parking: 1 % of the
+    /// popped ticks park their chain instead of re-pushing it, and now
+    /// and then a tick's handling wakes the parked servers, restarting
+    /// their chains through `schedule` at the first `anchor + k·5 s`
+    /// after now (the engine's `resume_monitor`). Those restarts land
+    /// in the calendar ahead of its cached minimum, mid-run of lane
+    /// pops.
+    fn lane_step(
+        rng: &mut StdRng,
+        parked: &mut Vec<(f64, Event)>,
+        t: f64,
+        e: Event,
+    ) -> Vec<(f64, Event, bool)> {
+        let mut out = engine_step(rng, t, e);
+        let Event::MonitorTick(s) = e else {
+            return out;
+        };
+        // Chain 299 (offset 5.0 s) never parks: it carries the tie
+        // checks.
+        if s.0 != 299 && rng.gen_bool(0.01) {
+            out.retain(|&(_, pushed, _)| pushed != e);
+            parked.push((t, e));
+        } else if rng.gen_bool(0.002) {
+            for (anchor, tick) in std::mem::take(parked) {
+                let mut next = anchor + 5.0;
+                while next <= t {
+                    next += 5.0;
+                }
+                out.push((next, tick, false));
+            }
+        }
+        out
+    }
+
+    /// [`apply`] with the engine's routing: chained monitor ticks go
+    /// through the lane, other chains through `schedule_chain`.
+    fn apply_lane(q: &mut EventQueue, t: f64, pushes: &[(f64, Event, bool)]) {
+        q.advance_to(t);
+        for &(at, e, chain) in pushes {
+            match (chain, e) {
+                (true, Event::MonitorTick(_)) => q.schedule_monitor(at, e),
+                (true, _) => q.schedule_chain(at, e),
+                (false, _) => q.schedule(at, e),
+            }
+        }
+    }
+
+    /// Pop-for-pop identity of the two-store queue with the reference
+    /// heap on engine-shaped traffic, including the exact ties of a
+    /// chain whose offset is 5.0 s: it lands on every 300 s sweep
+    /// instant, and there the sweep, pushed 300 s earlier, pops before
+    /// the tick, pushed 5 s earlier. A copy restored mid-run, with
+    /// events in both stores, pops in lockstep.
+    #[test]
+    fn monitor_lane_matches_reference_heap() {
+        let mut q = EventQueue::with_capacity(4096);
+        let mut heap = ReferenceHeap::default();
+        let burst = (0..2000).map(|i| (0.0, Event::Spawn(i)));
+        let sweeps = [(0.0, Event::MetricsSample), (300.0, Event::DemandUpdate)];
+        for (t, e) in burst.chain(sweeps).chain(staggered_ticks(300, 5.0)) {
+            q.schedule(t, e);
+            heap.schedule(t, e);
+        }
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut parked = Vec::new();
+        let mut restored: Option<EventQueue> = None;
+        let mut last_sweep = f64::NEG_INFINITY;
+        let mut ties = 0;
+        for n in 0..400_000 {
+            let popped = q.pop();
+            assert_eq!(popped, heap.pop(), "pop {n}");
+            if let Some(r) = restored.as_mut() {
+                assert_eq!(r.pop(), popped, "restored queue diverged at pop {n}");
+            }
+            let (t, e) = popped.expect("chains never drain");
+            match e {
+                Event::DemandUpdate => last_sweep = t,
+                Event::MonitorTick(ServerId(299)) if t % 300.0 == 0.0 => {
+                    assert_eq!(last_sweep, t, "tick at {t} popped before the sweep");
+                    ties += 1;
+                }
+                _ => {}
+            }
+            let pushes = lane_step(&mut rng, &mut parked, t, e);
+            apply_lane(&mut q, t, &pushes);
+            for &(at, e, _) in &pushes {
+                heap.schedule(at, e);
+            }
+            if let Some(r) = restored.as_mut() {
+                apply_lane(r, t, &pushes);
+            }
+            if n == 150_000 {
+                assert!(!q.lane.is_empty() && q.cal.in_wheel + q.cal.overflow.len() > 0);
+                let (entries, next_seq, now_floor) = q.snapshot_parts();
+                restored = Some(EventQueue::restore_parts(&entries, next_seq, now_floor));
+            }
+        }
+        // 400,000 pops at ~60 events/s reach t ≈ 6,600 s: 21 sweeps.
+        assert!(ties >= 20, "only {ties} tick/sweep ties");
+        #[cfg(debug_assertions)]
+        q.assert_pop_order_law();
+    }
+
+    /// A monitor push before the lane's last entry cannot join the
+    /// FIFO: it goes to the calendar and still pops in `(time, seq)`
+    /// order with everything else.
+    #[test]
+    fn monitor_push_before_lane_back_falls_back_to_calendar() {
+        let mut q = EventQueue::new();
+        let mut heap = ReferenceHeap::default();
+        let pushes = [
+            (10.0, Event::MonitorTick(ServerId(0))),
+            (12.0, Event::MonitorTick(ServerId(1))),
+            (11.0, Event::MonitorTick(ServerId(2))),
+            (12.0, Event::MonitorTick(ServerId(3))),
+            (9.0, Event::MonitorTick(ServerId(4))),
+        ];
+        for (t, e) in pushes {
+            q.schedule_monitor(t, e);
+            heap.schedule(t, e);
+        }
+        q.schedule(11.0, Event::DemandUpdate);
+        heap.schedule(11.0, Event::DemandUpdate);
+        assert_eq!(
+            q.lane.len(),
+            3,
+            "the 11 s and 9 s ticks belong in the calendar"
+        );
+        assert_eq!(q.cal.entries().count(), 3);
+        assert_eq!(q.len(), 6);
+        loop {
+            let expect = heap.pop();
+            assert_eq!(q.pop(), expect);
+            if expect.is_none() {
+                break;
+            }
+        }
+        assert!(q.is_empty());
     }
 
     /// Uniform 1–600 s hold traffic (the `event_loop_snapshot` hold

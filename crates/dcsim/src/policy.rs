@@ -8,6 +8,7 @@
 
 use crate::cluster::ClusterView;
 use crate::ids::{ServerId, VmId};
+use std::ops::RangeInclusive;
 
 /// Why a placement is being requested.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,13 +91,28 @@ pub trait Policy {
 
     /// Called on each server's monitor tick at simulated time
     /// `now_secs`; may request a migration. The default (used by purely
-    /// reactive baselines) never migrates.
+    /// reactive baselines) never migrates. The engine skips the call
+    /// while the server's utilization lies in
+    /// [`quiet_band`](Self::quiet_band), so an implementation that
+    /// offers a band must keep that band's promise.
     fn monitor(
         &mut self,
         _view: &ClusterView<'_>,
         _server: ServerId,
         _now_secs: f64,
     ) -> Option<MigrationRequest> {
+        None
+    }
+
+    /// The utilization band, both ends inclusive, in which
+    /// [`monitor`](Self::monitor) is silent on a fleet of `n_servers`
+    /// servers, or `None` (the default): never quiet. It is a promise:
+    /// while an active server's utilization (`used / capacity`, the
+    /// value [`ServerRef::utilization`](crate::ServerRef::utilization)
+    /// returns) lies inside the band, `monitor` for that server returns
+    /// `None`, draws no random number and changes no state, so the
+    /// engine may skip the call. The tick itself still runs.
+    fn quiet_band(&self, _n_servers: usize) -> Option<RangeInclusive<f64>> {
         None
     }
 

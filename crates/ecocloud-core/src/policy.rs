@@ -30,6 +30,7 @@ use dcsim::{
     Policy, ServerId, ServerRef,
 };
 use ecocloud_rng::{Rng, SeedableRng, StdRng};
+use std::ops::RangeInclusive;
 
 /// The ecoCloud policy. One instance drives one simulation run.
 pub struct EcoCloudPolicy {
@@ -43,6 +44,14 @@ pub struct EcoCloudPolicy {
     /// Scratch buffer of acceptors (reused across calls to avoid
     /// allocating on every invitation round).
     acceptors: Vec<ServerId>,
+    /// Per-server `(u.to_bits(), f_a(u))` of the configured assignment
+    /// function at the decision utilization an invitation round last
+    /// evaluated; lazily grown to the fleet size. Most servers' `u` is
+    /// unchanged between rounds, and `f_a` is a pure function of `u`,
+    /// so a hit returns the bits a fresh evaluation would (one `powf`
+    /// saved). A cache, not state: it is neither checkpointed nor
+    /// restored.
+    fa_memo: Vec<(u64, f64)>,
 }
 
 impl EcoCloudPolicy {
@@ -56,6 +65,7 @@ impl EcoCloudPolicy {
             grace_until: Vec::new(),
             last_low_trial: Vec::new(),
             acceptors: Vec::new(),
+            fa_memo: Vec::new(),
         }
     }
 
@@ -130,6 +140,13 @@ impl EcoCloudPolicy {
     ) {
         self.acceptors.clear();
         let m_p = fa.m_p();
+        // The memo holds values of the configured function only; a high
+        // migration's lowered threshold is evaluated fresh.
+        let memo = fa.ta == self.cfg.assignment.ta && fa.p == self.cfg.assignment.p;
+        if memo && self.fa_memo.len() < view.n_servers() {
+            let at_zero = (0.0f64.to_bits(), fa.eval_normalized(0.0, m_p));
+            self.fa_memo.resize(view.n_servers(), at_zero);
+        }
         for (sid, server) in view.powered() {
             if Some(sid) == req.exclude {
                 continue;
@@ -142,7 +159,16 @@ impl EcoCloudPolicy {
                 // positively for a limited interval of time.
                 true
             } else {
-                let p = fa.eval_normalized(server.decision_utilization(), m_p);
+                let u = server.decision_utilization();
+                let p = if memo {
+                    let entry = &mut self.fa_memo[sid.index()];
+                    if entry.0 != u.to_bits() {
+                        *entry = (u.to_bits(), fa.eval_normalized(u, m_p));
+                    }
+                    entry.1
+                } else {
+                    fa.eval_normalized(u, m_p)
+                };
                 p > 0.0 && self.rng.gen_bool(p)
             };
             if accepts {
@@ -318,6 +344,16 @@ impl Policy for EcoCloudPolicy {
         None
     }
 
+    fn quiet_band(&self, n_servers: usize) -> Option<RangeInclusive<f64>> {
+        // In `[T_l, T_h]` neither `u > T_h` nor `u < T_l` holds, so
+        // `monitor` returns `None` with no draw. It also sizes the
+        // per-server vectors first, and their lengths are checkpointed
+        // state, so the band is offered only once that is a no-op.
+        let sized = self.grace_until.len() >= n_servers && self.last_low_trial.len() >= n_servers;
+        let m = &self.cfg.migration;
+        sized.then_some(m.tl..=m.th)
+    }
+
     fn on_server_woken(&mut self, server: ServerId, now_secs: f64) {
         self.ensure_grace_len(server.index() + 1);
         self.grace_until[server.index()] = now_secs + self.cfg.grace_secs;
@@ -336,7 +372,8 @@ impl Policy for EcoCloudPolicy {
         // Layout: [rng, n, grace_until[0..n], m, last_low_trial[0..m]],
         // floats as raw bits (grace windows can be NEG_INFINITY). The
         // acceptors scratch buffer is rebuilt per invitation round and
-        // carries no state. Lazily-grown lengths are part of the state:
+        // the f_a memo is a cache, so neither carries state.
+        // Lazily-grown lengths are part of the state:
         // restoring them exactly keeps later `ensure_grace_len` calls
         // no-ops in both the original and the resumed run.
         let mut words = Vec::with_capacity(3 + self.grace_until.len() + self.last_low_trial.len());
@@ -383,21 +420,7 @@ mod tests {
         let mut c = Cluster::new(&fleet, ServerState::Active);
         for (i, &u) in utils.iter().enumerate() {
             if u > 0.0 {
-                let vm = VmId(c.vms.len() as u32);
-                c.vms.push(Vm {
-                    id: vm,
-                    trace_idx: 0,
-                    demand_mhz: u * 12_000.0,
-                    ram_mb: 0.0,
-                    state: VmState::Departed,
-                    arrived_secs: 0.0,
-                    priority: Default::default(),
-                    migration_seq: 0,
-                    lifetime_secs: None,
-                    started: false,
-                    evictable: false,
-                });
-                c.attach(vm, ServerId(i as u32), 0.0);
+                add_load(&mut c, i as u32, u * 12_000.0);
             }
         }
         c
@@ -411,6 +434,109 @@ mod tests {
             exclude: None,
             now_secs: 0.0,
         }
+    }
+
+    /// Adds `mhz` of hosted load to `server` as one more synthetic VM.
+    fn add_load(c: &mut Cluster, server: u32, mhz: f64) {
+        let vm = VmId(c.vms.len() as u32);
+        c.vms.push(Vm {
+            id: vm,
+            trace_idx: 0,
+            demand_mhz: mhz,
+            ram_mb: 0.0,
+            state: VmState::Departed,
+            arrived_secs: 0.0,
+            priority: Default::default(),
+            migration_seq: 0,
+            lifetime_secs: None,
+            started: false,
+            evictable: false,
+        });
+        c.attach(vm, ServerId(server), 0.0);
+    }
+
+    /// The invitation round without the `f_a` memo: evaluates `f_a`
+    /// afresh for every fitting server outside its grace window. The
+    /// oracle of `fa_memo_matches_naive_invitation_rounds`.
+    fn naive_invite(
+        p: &mut EcoCloudPolicy,
+        view: &ClusterView<'_>,
+        req: &PlacementRequest,
+    ) -> Vec<ServerId> {
+        p.ensure_grace_len(view.n_servers());
+        let fa = p.effective_fa(req);
+        let m_p = fa.m_p();
+        let mut acceptors = Vec::new();
+        for (sid, server) in view.powered() {
+            if Some(sid) == req.exclude || !p.offer_fits(&server, req, &fa) {
+                continue;
+            }
+            let accepts = if p.in_grace(sid, req.now_secs) {
+                true
+            } else {
+                let pr = fa.eval_normalized(server.decision_utilization(), m_p);
+                pr > 0.0 && p.rng.gen_bool(pr)
+            };
+            if accepts {
+                acceptors.push(sid);
+            }
+        }
+        acceptors
+    }
+
+    /// The memoized invitation round draws and accepts exactly as the
+    /// naive one over a scripted run: loads that change between
+    /// rounds, a reservation that moves `decision_utilization` under a
+    /// fixed `used`, and high migrations whose lowered threshold
+    /// bypasses the memo or clamps back to `T_a` and uses it.
+    #[test]
+    fn fa_memo_matches_naive_invitation_rounds() {
+        let mut c = cluster_with_utils(&[0.3, 0.45, 0.6, 0.675, 0.7, 0.8, 0.85, 0.2]);
+        let mut memo = EcoCloudPolicy::paper(31);
+        let mut naive = EcoCloudPolicy::paper(31);
+        let mut rounds = |c: &Cluster, memo: &mut EcoCloudPolicy, kind| {
+            let req = PlacementRequest {
+                demand_mhz: 100.0,
+                ram_mb: 0.0,
+                kind,
+                exclude: Some(ServerId(0)),
+                now_secs: 0.0,
+            };
+            for round in 0..25 {
+                let got = memo.invite(&c.view(), &req).expect("ecoCloud is phased");
+                assert_eq!(
+                    got,
+                    naive_invite(&mut naive, &c.view(), &req),
+                    "{kind:?} round {round}"
+                );
+                assert_eq!(
+                    memo.rng.state(),
+                    naive.rng.state(),
+                    "{kind:?} round {round}"
+                );
+            }
+        };
+        let high = |source_utilization| PlacementKind::MigrationHigh { source_utilization };
+
+        rounds(&c, &mut memo, PlacementKind::NewVm);
+        assert_eq!(memo.fa_memo.len(), 8);
+        add_load(&mut c, 1, 600.0);
+        add_load(&mut c, 4, 0.5);
+        rounds(&c, &mut memo, PlacementKind::NewVm);
+        // Reserved demand moves the decision utilization only.
+        let used = c.hot().used_mhz(2);
+        c.add_reservation(ServerId(2), 900.0, 0.0);
+        assert_eq!(c.hot().used_mhz(2), used);
+        rounds(&c, &mut memo, PlacementKind::MigrationLow);
+        // T_a' = 0.9 × 0.8 = 0.72 < T_a: evaluated fresh, memo untouched.
+        let before = memo.fa_memo.clone();
+        rounds(&c, &mut memo, high(0.8));
+        assert_eq!(memo.fa_memo, before);
+        // T_a' = min(0.9 × 1.05, T_a) = T_a: the configured function.
+        rounds(&c, &mut memo, high(1.05));
+        c.release_reservation(ServerId(2), 900.0, 0.0);
+        add_load(&mut c, 6, 120.0);
+        rounds(&c, &mut memo, PlacementKind::NewVm);
     }
 
     #[test]
