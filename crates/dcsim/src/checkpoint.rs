@@ -233,6 +233,19 @@ impl Enc {
     }
 }
 
+/// Sizes of the scenario a snapshot is restored into. Every server,
+/// VM and spawn id a section carries must index one of these, and the
+/// decoders check each one as they read it ([`Dec::id`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdBounds {
+    /// Servers in the fleet.
+    pub servers: usize,
+    /// VMs in the restored VM table.
+    pub vms: usize,
+    /// Entries in the workload's spawn list.
+    pub spawns: usize,
+}
+
 /// Byte decoder matching [`Enc`]. Every read is bounds-checked; running
 /// past the end of a section yields [`CheckpointError::Corrupt`] (the
 /// envelope's length + checksum have already ruled out torn files).
@@ -341,6 +354,44 @@ impl<'a> Dec<'a> {
         let n = self.usize()?;
         self.check_remaining(n, 4)?;
         (0..n).map(|_| self.u32()).collect()
+    }
+
+    /// Checks that index `i`, read from this section, names one of
+    /// `n` items, so that a hostile snapshot is refused here, naming
+    /// the section and the index, instead of panicking on an index
+    /// later in the run.
+    pub(crate) fn in_range(
+        &self,
+        what: &str,
+        i: usize,
+        n: usize,
+    ) -> Result<usize, CheckpointError> {
+        if i < n {
+            Ok(i)
+        } else {
+            Err(self.corrupt(format_args!("{what} {i} is out of range (0..{n})")))
+        }
+    }
+
+    /// A [`CheckpointError::Corrupt`] that names this section.
+    pub(crate) fn corrupt(&self, why: fmt::Arguments<'_>) -> CheckpointError {
+        CheckpointError::Corrupt(format!("section '{}': {why}", self.what))
+    }
+
+    /// Reads a `u32` id and checks it names one of `n` items
+    /// ([`in_range`](Self::in_range)).
+    pub(crate) fn id(&mut self, what: &str, n: usize) -> Result<u32, CheckpointError> {
+        let id = self.u32()?;
+        self.in_range(what, id as usize, n)?;
+        Ok(id)
+    }
+
+    /// Reads a `u32` list ([`u32s`](Self::u32s)) whose every id must
+    /// name one of `n` items.
+    pub(crate) fn ids(&mut self, what: &str, n: usize) -> Result<Vec<u32>, CheckpointError> {
+        let n_ids = self.usize()?;
+        self.check_remaining(n_ids, 4)?;
+        (0..n_ids).map(|_| self.id(what, n)).collect()
     }
 
     /// Guards `Vec::with_capacity`-style allocations against absurd

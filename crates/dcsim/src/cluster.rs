@@ -225,14 +225,14 @@ fn encode_vm_state(state: VmState, e: &mut Enc) {
     }
 }
 
-fn decode_vm_state(d: &mut Dec<'_>) -> Result<VmState, CheckpointError> {
+fn decode_vm_state(d: &mut Dec<'_>, n_servers: usize) -> Result<VmState, CheckpointError> {
     Ok(match d.u8()? {
         0 => VmState::Hosted {
-            host: ServerId(d.u32()?),
+            host: ServerId(d.id("VM host", n_servers)?),
         },
         1 => VmState::Migrating {
-            from: ServerId(d.u32()?),
-            to: ServerId(d.u32()?),
+            from: ServerId(d.id("VM migration source", n_servers)?),
+            to: ServerId(d.id("VM migration destination", n_servers)?),
         },
         2 => VmState::Departed,
         3 => VmState::Dropped,
@@ -677,8 +677,15 @@ impl Cluster {
     /// Overlays a checkpoint onto `self`, which must be a freshly
     /// built cluster of the same fleet. Inverse of
     /// [`encode`](Self::encode); rebuilds the derived power tags and
-    /// state indexes from the restored server states.
-    pub(crate) fn decode_into(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
+    /// state indexes from the restored server states. Every id is
+    /// range-checked: servers against the fleet, VMs against the
+    /// restored table (each VM at its own index), and each VM's trace
+    /// against the `n_traces` of the workload.
+    pub(crate) fn decode_into(
+        &mut self,
+        d: &mut Dec<'_>,
+        n_traces: usize,
+    ) -> Result<(), CheckpointError> {
         let n = d.usize()?;
         if n != self.servers.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -696,14 +703,24 @@ impl Cluster {
         }
         let n_vms = d.usize()?;
         d.check_remaining(n_vms, 44)?; // fixed-width VM fields
+
+        // The server lists precede the table, so their VM ids are
+        // checked once its size is known.
+        for v in self.servers.iter().flat_map(|s| &s.vms) {
+            d.in_range("hosted VM", v.index(), n_vms)?;
+        }
         self.vms.clear();
         self.vms.reserve(n_vms);
-        for _ in 0..n_vms {
+        for i in 0..n_vms {
             let id = VmId(d.u32()?);
+            if id.index() != i {
+                return Err(d.corrupt(format_args!("VM {id} stored at index {i}")));
+            }
             let trace_idx = d.usize()?;
+            d.in_range("VM trace", trace_idx, n_traces)?;
             let demand_mhz = d.f64()?;
             let ram_mb = d.f64()?;
-            let state = decode_vm_state(d)?;
+            let state = decode_vm_state(d, n)?;
             let arrived_secs = d.f64()?;
             let priority = decode_priority(d)?;
             let migration_seq = d.u32()?;

@@ -186,10 +186,14 @@ impl FaultConfig {
                 "wake retry backoff must be finite and >= 0",
             );
         }
-        if self.wake_retry_backoff_cap_secs < self.wake_retry_backoff_secs {
+        // A NaN or infinite cap would not bound the doubling backoff:
+        // `f64::min` ignores NaN, and the retry time reaches infinity.
+        if !(self.wake_retry_backoff_cap_secs >= self.wake_retry_backoff_secs
+            && self.wake_retry_backoff_cap_secs.is_finite())
+        {
             return reject(
                 "wake_retry_backoff_cap_secs",
-                "wake retry backoff cap must be >= the base backoff",
+                "wake retry backoff cap must be finite and >= the base backoff",
             );
         }
         Ok(())
@@ -215,6 +219,14 @@ impl FaultConfig {
 /// message model. [`ControlPlaneConfig::off`] (the default) creates
 /// no stream and schedules no message events: fixed-seed runs stay
 /// byte-identical to a simulator without the subsystem.
+///
+/// Under [`ideal`](Self::ideal) and [`lan`](Self::lan) every
+/// invitation round is *certain*: no leg can be lost, and two of the
+/// largest latency draws fit the collection window, so the engine
+/// settles each round in O(1) and jumps the stream past its draws
+/// (DESIGN.md §11). [`lossy`](Self::lossy) and
+/// [`with_loss`](Self::with_loss) with a loss above zero deliver
+/// every invitation message by message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlaneConfig {
     /// Master switch. When false, placements resolve atomically
@@ -352,10 +364,14 @@ impl ControlPlaneConfig {
                 "re-broadcast backoff must be finite and >= 0",
             );
         }
-        if self.rebroadcast_backoff_cap_secs < self.rebroadcast_backoff_secs {
+        // As for the wake-retry cap: a NaN or infinite cap lets the
+        // backoff double to infinity after enough empty rounds.
+        if !(self.rebroadcast_backoff_cap_secs >= self.rebroadcast_backoff_secs
+            && self.rebroadcast_backoff_cap_secs.is_finite())
+        {
             return reject(
                 "rebroadcast_backoff_cap_secs",
-                "re-broadcast backoff cap must be >= the base backoff",
+                "re-broadcast backoff cap must be finite and >= the base backoff",
             );
         }
         Ok(())
@@ -509,6 +525,28 @@ mod tests {
             let mut c = SimConfig::paper_48h(1);
             *field(&mut c) = f64::NAN;
             assert_eq!(c.validate().unwrap_err().field, name, "NaN {name} accepted");
+        }
+    }
+
+    #[test]
+    fn rejects_nan_and_infinite_backoff_caps() {
+        for cap in [f64::NAN, f64::INFINITY] {
+            let mut c = SimConfig::paper_48h(1);
+            c.control_plane = ControlPlaneConfig::lan(1);
+            c.control_plane.rebroadcast_backoff_cap_secs = cap;
+            assert_eq!(
+                c.validate().unwrap_err().field,
+                "rebroadcast_backoff_cap_secs",
+                "cap {cap} accepted"
+            );
+            let mut c = SimConfig::paper_48h(1);
+            c.faults = FaultConfig::light(1);
+            c.faults.wake_retry_backoff_cap_secs = cap;
+            assert_eq!(
+                c.validate().unwrap_err().field,
+                "wake_retry_backoff_cap_secs",
+                "cap {cap} accepted"
+            );
         }
     }
 

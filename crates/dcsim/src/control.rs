@@ -8,7 +8,7 @@
 //! jittered re-broadcast. The types here hold the per-exchange state
 //! machine; the transitions live in [`crate::engine`].
 
-use crate::checkpoint::{CheckpointError, Dec, Enc};
+use crate::checkpoint::{CheckpointError, Dec, Enc, IdBounds};
 use crate::config::ControlPlaneConfig;
 use crate::ids::{ServerId, VmId};
 use crate::policy::MigrationKind;
@@ -46,6 +46,26 @@ impl PlacementSubject {
             PlacementSubject::Migration { source, .. } => Some(source),
         }
     }
+}
+
+/// The largest `[0, 1)` unit a draw can produce: 53 set bits scaled
+/// exactly as `gen_range` scales them, `1 − 2⁻⁵³`.
+const MAX_UNIT: f64 = ((1u64 << 53) - 1) as f64 * (1.0 / (1u64 << 53) as f64);
+
+/// What one invitation round did, message by message. `sent` is
+/// always `accepts + declines + losses + timeouts`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RoundTally {
+    /// Invitations broadcast.
+    pub sent: u64,
+    /// In-time responses that accepted.
+    pub accepts: u64,
+    /// In-time responses that declined.
+    pub declines: u64,
+    /// Invitations with a lost request or response leg.
+    pub losses: u64,
+    /// Responses that arrived after the collection window.
+    pub timeouts: u64,
 }
 
 /// One in-flight placement exchange.
@@ -115,6 +135,136 @@ impl ControlPlane {
         } else {
             self.cfg.latency_min_secs
         }
+    }
+
+    /// Whether every invitation round under this model is *certain*,
+    /// and if so how many RNG draws one invited server costs.
+    ///
+    /// A round is certain when no leg can be lost and even two of the
+    /// largest latency draws fit the collection window: then every
+    /// invited server's response arrives in time, whatever the draws
+    /// say. Zero loss draws nothing ([`lose`](Self::lose)). With
+    /// distinct bounds each server costs two latency draws, and the
+    /// largest draw is `lo + (1 − 2⁻⁵³)·(hi − lo)`, computed with the
+    /// operations `gen_range` uses (IEEE multiply and add are
+    /// monotone, so no draw exceeds it). Equal bounds draw nothing.
+    /// `None` when a round's outcome depends on its draws.
+    pub(crate) fn certain_round_draws(&self) -> Option<u64> {
+        let cfg = &self.cfg;
+        if cfg.loss_prob != 0.0 {
+            return None;
+        }
+        let (lo, hi) = (cfg.latency_min_secs, cfg.latency_max_secs);
+        let (worst, per_server) = if hi > lo {
+            (lo + MAX_UNIT * (hi - lo), 2)
+        } else {
+            (lo, 0)
+        };
+        (worst + worst <= cfg.accept_timeout_secs).then_some(per_server)
+    }
+
+    /// Delivers one invitation round message by message. `invited`
+    /// lists the broadcast's recipients in fleet order and
+    /// `would_accept` the policy's acceptors among them, in the same
+    /// order. Each invitation draws a loss and a latency for its
+    /// request leg and, if delivered, for its response leg; a response
+    /// back within the collection window counts as an accept or a
+    /// decline. Returns the tally and the in-time acceptors.
+    pub(crate) fn deliver_round(
+        &mut self,
+        invited: impl Iterator<Item = ServerId>,
+        would_accept: &[ServerId],
+    ) -> (RoundTally, Vec<ServerId>) {
+        let timeout = self.cfg.accept_timeout_secs;
+        let mut tally = RoundTally::default();
+        let mut in_time = Vec::new();
+        let mut ai = 0usize;
+        for sid in invited {
+            tally.sent += 1;
+            let accepts = would_accept.get(ai) == Some(&sid);
+            if accepts {
+                ai += 1;
+            }
+            // Invitation leg: a lost invitation never reaches the
+            // server, so no response exists either.
+            if self.lose() {
+                tally.losses += 1;
+                continue;
+            }
+            let l1 = self.draw_latency();
+            // Response leg.
+            if self.lose() {
+                tally.losses += 1;
+                continue;
+            }
+            let l2 = self.draw_latency();
+            if l1 + l2 > timeout {
+                tally.timeouts += 1;
+                continue;
+            }
+            if accepts {
+                tally.accepts += 1;
+                in_time.push(sid);
+            } else {
+                tally.declines += 1;
+            }
+        }
+        debug_assert_eq!(
+            ai,
+            would_accept.len(),
+            "policy returned an acceptor that was not invited"
+        );
+        (tally, in_time)
+    }
+
+    /// Settles one invitation round to `n_invited` servers (`invited`,
+    /// in fleet order). A [certain](Self::certain_round_draws) round
+    /// costs O(1): every invited server answers in time, so the tally
+    /// is closed-form, `would_accept` is the in-time list unchanged,
+    /// and the RNG jumps past the draws
+    /// [`deliver_round`](Self::deliver_round) would make, leaving the
+    /// stream where that loop would. Any other round runs the loop.
+    ///
+    /// Debug builds check the certain path against the loop on a copy
+    /// of the RNG: same tally, same in-time list, same RNG state.
+    pub(crate) fn settle_round(
+        &mut self,
+        invited: impl Iterator<Item = ServerId>,
+        n_invited: usize,
+        would_accept: Vec<ServerId>,
+    ) -> (RoundTally, Vec<ServerId>) {
+        let Some(per_server) = self.certain_round_draws() else {
+            return self.deliver_round(invited, &would_accept);
+        };
+        let n = n_invited as u64;
+        let accepts = would_accept.len() as u64;
+        let tally = RoundTally {
+            sent: n,
+            accepts,
+            declines: n - accepts,
+            losses: 0,
+            timeouts: 0,
+        };
+        #[cfg(debug_assertions)]
+        let oracle = {
+            let mut wire = ControlPlane::new(self.cfg.clone());
+            wire.rng = self.rng.clone();
+            let (t, list) = wire.deliver_round(invited, &would_accept);
+            (t, list, wire.rng.state())
+        };
+        self.rng.skip(n * per_server);
+        #[cfg(debug_assertions)]
+        {
+            let (t, list, state) = oracle;
+            assert_eq!(t, tally, "certain round: tally differs from the loop's");
+            assert_eq!(list, would_accept, "certain round: in-time list differs");
+            assert_eq!(
+                state,
+                self.rng.state(),
+                "certain round: the RNG jump lands off the loop's stream"
+            );
+        }
+        (tally, would_accept)
     }
 
     /// Backoff before re-broadcast round `rounds + 1`: doubling from
@@ -189,8 +339,13 @@ impl ControlPlane {
 
     /// Overlays a checkpoint onto a freshly constructed control plane.
     /// Inverse of [`encode`](Self::encode); `by_vm` is re-derived from
-    /// the restored exchanges.
-    pub(crate) fn decode_into(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
+    /// the restored exchanges, and every server and VM id is checked
+    /// against `ids`.
+    pub(crate) fn decode_into(
+        &mut self,
+        d: &mut Dec<'_>,
+        ids: &IdBounds,
+    ) -> Result<(), CheckpointError> {
         self.rng = StdRng::from_state(d.u64()?);
         self.next_id = d.u64()?;
         let n = d.usize()?;
@@ -199,11 +354,11 @@ impl ControlPlane {
         self.by_vm.clear();
         for _ in 0..n {
             let id = d.u64()?;
-            let vm = VmId(d.u32()?);
+            let vm = VmId(d.id("exchange VM", ids.vms)?);
             let subject = match d.u8()? {
                 0 => PlacementSubject::NewVm,
                 1 => {
-                    let source = ServerId(d.u32()?);
+                    let source = ServerId(d.id("exchange source", ids.servers)?);
                     let kind = match d.u8()? {
                         0 => MigrationKind::Low,
                         1 => MigrationKind::High,
@@ -229,9 +384,10 @@ impl ControlPlane {
             let epoch = d.u32()?;
             let started_secs = d.f64()?;
             let rounds = d.u32()?;
-            let acceptors = d.u32s()?.into_iter().map(ServerId).collect();
+            let acceptors = d.ids("exchange acceptor", ids.servers)?;
+            let acceptors = acceptors.into_iter().map(ServerId).collect();
             let pending_commit = if d.bool()? {
-                Some(ServerId(d.u32()?))
+                Some(ServerId(d.id("exchange commit target", ids.servers)?))
             } else {
                 None
             };
@@ -289,6 +445,113 @@ mod tests {
             assert_eq!(b.draw_latency(), 0.0);
             assert_eq!(a.rebroadcast_backoff(1), 0.0);
             assert_eq!(b.rebroadcast_backoff(1), 0.0);
+        }
+    }
+
+    /// The closed-form settlement of a certain round equals the
+    /// message loop: same tally, same in-time list, same RNG state,
+    /// over random powered sets, exclusions (powered or not) and
+    /// acceptor subsets. The certainty test is exact at its boundary.
+    #[test]
+    fn certain_rounds_settle_exactly_as_the_loop_delivers() {
+        let lan = ControlPlaneConfig::lan(5);
+        let worst = lan.latency_min_secs + MAX_UNIT * (lan.latency_max_secs - lan.latency_min_secs);
+        let edge = worst + worst;
+        let ulp_below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let at_edge = ControlPlaneConfig {
+            accept_timeout_secs: edge,
+            ..lan.clone()
+        };
+        let equal_bounds = ControlPlaneConfig {
+            latency_min_secs: 0.1,
+            latency_max_secs: 0.1,
+            accept_timeout_secs: 0.2,
+            ..lan.clone()
+        };
+        let certain = [
+            (at_edge.clone(), 2),
+            (lan.clone(), 2),
+            (equal_bounds.clone(), 0),
+            (ControlPlaneConfig::ideal(5), 0),
+        ];
+        let uncertain = [
+            ControlPlaneConfig {
+                accept_timeout_secs: ulp_below(edge),
+                ..lan.clone()
+            },
+            ControlPlaneConfig {
+                accept_timeout_secs: ulp_below(0.2),
+                ..equal_bounds
+            },
+            ControlPlaneConfig::lossy(5),
+            ControlPlaneConfig::with_loss(1e-9, 5),
+        ];
+        // The largest draw `gen_range` can make is the bound's.
+        struct AllOnes;
+        impl Rng for AllOnes {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let largest = AllOnes.gen_range(lan.latency_min_secs..lan.latency_max_secs);
+        assert_eq!(largest.to_bits(), worst.to_bits());
+        assert!(largest < lan.latency_max_secs);
+        for (cfg, per_server) in &certain {
+            let cp = ControlPlane::new(cfg.clone());
+            assert_eq!(cp.certain_round_draws(), Some(*per_server), "{cfg:?}");
+        }
+        for cfg in &uncertain {
+            assert_eq!(ControlPlane::new(cfg.clone()).certain_round_draws(), None);
+        }
+
+        let mut rng = StdRng::seed_from_u64(99);
+        let configs = certain.iter().map(|(c, _)| (c, true));
+        for (cfg, is_certain) in configs.chain(uncertain.iter().map(|c| (c, false))) {
+            let mut cp = ControlPlane::new(cfg.clone());
+            for _ in 0..40 {
+                let n_servers = rng.gen_range(1u32..60);
+                let p_on = rng.gen_range(0.0..1.0);
+                let powered: Vec<ServerId> = (0..n_servers)
+                    .filter(|_| rng.gen_bool(p_on))
+                    .map(ServerId)
+                    .collect();
+                let exclude = match rng.gen_range(0u8..3) {
+                    0 => None,
+                    1 => Some(ServerId(rng.gen_range(0..n_servers))),
+                    _ => powered.first().copied(),
+                };
+                let invited: Vec<ServerId> = powered
+                    .iter()
+                    .copied()
+                    .filter(|&s| Some(s) != exclude)
+                    .collect();
+                let p_accept = rng.gen_range(0.0..1.0);
+                let would_accept: Vec<ServerId> = invited
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(p_accept))
+                    .collect();
+                let excluded_powered = exclude.is_some_and(|s| powered.contains(&s));
+                let n_invited = powered.len() - usize::from(excluded_powered);
+
+                let mut wire = ControlPlane::new(cfg.clone());
+                wire.rng = cp.rng.clone();
+                let (loop_tally, loop_list) =
+                    wire.deliver_round(invited.iter().copied(), &would_accept);
+                let (tally, list) =
+                    cp.settle_round(invited.iter().copied(), n_invited, would_accept.clone());
+                assert_eq!(tally, loop_tally, "{cfg:?}");
+                assert_eq!(list, loop_list, "{cfg:?}");
+                assert_eq!(cp.rng.state(), wire.rng.state(), "{cfg:?}");
+                assert_eq!(
+                    tally.sent,
+                    tally.accepts + tally.declines + tally.losses + tally.timeouts
+                );
+                if is_certain {
+                    assert_eq!(list, would_accept);
+                    assert_eq!(tally.sent, invited.len() as u64);
+                }
+            }
         }
     }
 

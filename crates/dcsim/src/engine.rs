@@ -64,7 +64,7 @@
 //! assert_eq!(a.summary.energy_kwh.to_bits(), b.summary.energy_kwh.to_bits());
 //! ```
 
-use crate::checkpoint::{Checkpoint, CheckpointError, Dec, Enc};
+use crate::checkpoint::{Checkpoint, CheckpointError, Dec, Enc, IdBounds};
 use crate::cluster::Cluster;
 use crate::config::SimConfig;
 use crate::control::{ControlPlane, Exchange, PlacementSubject};
@@ -390,20 +390,27 @@ impl<P: Policy> Simulation<P> {
         ckpt.verify_compat(spec)?;
         let mut sim = Self::new(fleet, workload, config, policy);
 
+        // The cluster goes first: its VM table sizes the VM ids every
+        // later section is checked against.
+        let mut d = Dec::new(ckpt.section("cluster")?, "cluster");
+        sim.cluster.decode_into(&mut d, sim.cursors.len())?;
+        d.finish()?;
+        let ids = IdBounds {
+            servers: sim.cluster.n_servers(),
+            vms: sim.cluster.vms.len(),
+            spawns: sim.workload.spawns.len(),
+        };
+
         let mut d = Dec::new(ckpt.section("engine")?, "engine");
-        sim.decode_engine(&mut d)?;
+        sim.decode_engine(&mut d, &ids)?;
         d.finish()?;
 
         let mut d = Dec::new(ckpt.section("traces")?, "traces");
         sim.decode_traces(&mut d)?;
         d.finish()?;
 
-        let mut d = Dec::new(ckpt.section("cluster")?, "cluster");
-        sim.cluster.decode_into(&mut d)?;
-        d.finish()?;
-
         let mut d = Dec::new(ckpt.section("queue")?, "queue");
-        sim.queue = EventQueue::decode(&mut d)?;
+        sim.queue = EventQueue::decode(&mut d, &ids)?;
         d.finish()?;
 
         let mut d = Dec::new(ckpt.section("stats")?, "stats");
@@ -413,7 +420,7 @@ impl<P: Policy> Simulation<P> {
         let mut d = Dec::new(ckpt.section("control")?, "control");
         let snapshot_has_control = d.bool()?;
         match (sim.control.as_mut(), snapshot_has_control) {
-            (Some(cp), true) => cp.decode_into(&mut d)?,
+            (Some(cp), true) => cp.decode_into(&mut d, &ids)?,
             (None, false) => {}
             (cur, _) => {
                 return Err(CheckpointError::Corrupt(format!(
@@ -486,8 +493,9 @@ impl<P: Policy> Simulation<P> {
     }
 
     /// Inverse of [`encode_engine`](Self::encode_engine); validates
-    /// every per-server vector against the scenario's fleet size.
-    fn decode_engine(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
+    /// every per-server vector against the scenario's fleet size and
+    /// every id against `ids`.
+    fn decode_engine(&mut self, d: &mut Dec<'_>, ids: &IdBounds) -> Result<(), CheckpointError> {
         let n = self.cluster.n_servers();
         self.now = d.f64()?;
         self.alive_count = d.usize()?;
@@ -505,8 +513,11 @@ impl<P: Policy> Simulation<P> {
         }
         self.overload_since = overload_since;
         self.overload_accrued_to = expect_len(d.f64s()?, n, "overload_accrued_to")?;
-        self.overload_active = d.u32s()?.into_iter().collect();
-        self.alive_vms = d.u32s()?.into_iter().collect();
+        self.overload_active = d
+            .ids("overloaded server", ids.servers)?
+            .into_iter()
+            .collect();
+        self.alive_vms = d.ids("alive VM", ids.vms)?.into_iter().collect();
         self.monitor_anchor = expect_len(d.f64s()?, n, "monitor_anchor")?;
         let m = d.usize()?;
         if m != n {
@@ -1757,63 +1768,39 @@ impl<P: Policy> Simulation<P> {
         true
     }
 
-    /// Broadcasts one invitation round for exchange `id`.
-    /// `would_accept` holds the servers whose acceptance trial (run by
-    /// the policy at broadcast time) succeeded, in fleet order. Each
-    /// invitation and each response carry independent loss and latency
-    /// draws; only responses surviving both legs within the collection
-    /// window reach the manager.
+    /// Broadcasts one invitation round for exchange `id` to every
+    /// powered server but the migration source. `would_accept` holds
+    /// the servers whose acceptance trial (run by the policy at
+    /// broadcast time) succeeded, in fleet order. Each invitation and
+    /// each response carry independent loss and latency draws; only
+    /// responses surviving both legs within the collection window
+    /// reach the manager. A round no draw can spoil settles in O(1)
+    /// ([`ControlPlane::settle_round`]).
     fn broadcast_round(&mut self, id: u64, would_accept: Vec<ServerId>) {
-        let exclude = control_plane(&mut self.control)
-            .live_mut(id)
-            .subject
-            .source();
-        let invited: Vec<ServerId> = self
-            .cluster
-            .view()
-            .powered()
-            .map(|(sid, _)| sid)
-            .filter(|&sid| Some(sid) != exclude)
-            .collect();
         let cp = control_plane(&mut self.control);
-        let timeout = cp.cfg.accept_timeout_secs;
-        let mut in_time = Vec::new();
-        let mut ai = 0usize;
-        self.stats.invitations_sent += invited.len() as u64;
-        for sid in invited {
-            let accepts = would_accept.get(ai) == Some(&sid);
-            if accepts {
-                ai += 1;
-            }
-            // Invitation leg: a lost invitation never reaches the
-            // server, so no response exists either.
-            if cp.lose() {
-                self.stats.invite_losses += 1;
-                continue;
-            }
-            let l1 = cp.draw_latency();
-            // Response leg.
-            if cp.lose() {
-                self.stats.invite_losses += 1;
-                continue;
-            }
-            let l2 = cp.draw_latency();
-            if l1 + l2 > timeout {
-                self.stats.invite_timeouts += 1;
-                continue;
-            }
-            if accepts {
-                self.stats.invite_accepts += 1;
-                in_time.push(sid);
-            } else {
-                self.stats.invite_declines += 1;
-            }
-        }
-        debug_assert_eq!(
-            ai,
-            would_accept.len(),
+        let exclude = cp.live_mut(id).subject.source();
+        let hot = self.cluster.hot();
+        debug_assert!(
+            would_accept.windows(2).all(|w| w[0] < w[1])
+                && would_accept
+                    .iter()
+                    .all(|&s| Some(s) != exclude && hot.is_powered(s.index())),
             "policy returned an acceptor that was not invited"
         );
+        let view = self.cluster.view();
+        let excluded_powered = exclude.is_some_and(|s| hot.is_powered(s.index()));
+        let n_invited = view.n_powered() - usize::from(excluded_powered);
+        let invited = view
+            .powered()
+            .map(|(sid, _)| sid)
+            .filter(|&sid| Some(sid) != exclude);
+        let (tally, in_time) = cp.settle_round(invited, n_invited, would_accept);
+        self.stats.invitations_sent += tally.sent;
+        self.stats.invite_accepts += tally.accepts;
+        self.stats.invite_declines += tally.declines;
+        self.stats.invite_losses += tally.losses;
+        self.stats.invite_timeouts += tally.timeouts;
+        let timeout = cp.cfg.accept_timeout_secs;
         let ex = cp.live_mut(id);
         ex.rounds += 1;
         ex.acceptors = in_time;
@@ -3111,6 +3098,160 @@ mod tests {
             match restore(bytes) {
                 Err(CheckpointError::Corrupt(_)) => {}
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// A snapshot whose ids point past the fleet, the VM table, the
+    /// spawn list or the trace set is refused with `Corrupt`, naming
+    /// the section and the id, instead of panicking on an index once
+    /// the run goes on. Each case writes one such id into a running
+    /// engine's state, one section at a time, and snapshots it.
+    #[test]
+    fn hostile_ids_are_refused_per_section() {
+        type Sim = Simulation<FirstFit>;
+        let make = || {
+            let mut config = quick_config();
+            config.control_plane = crate::config::ControlPlaneConfig::lan(3);
+            (
+                Fleet::uniform(6, 6),
+                Workload::all_vms_from_start(small_traces(8)),
+                config,
+            )
+        };
+        let (fleet, workload, config) = make();
+        let mut base = Simulation::new(fleet, workload, config, FirstFit);
+        while base.now() < 3600.0 && base.step().is_some() {}
+        let restore = |sim: &Sim| {
+            let ckpt = sim.checkpoint("t", 0);
+            let (fleet, workload, config) = make();
+            Simulation::restore_from(fleet, workload, config, FirstFit, &ckpt, "t")
+        };
+        assert!(restore(&base).is_ok());
+        let bad = ServerId(999);
+        let host = base.cluster.vms[0]
+            .executing_on()
+            .expect("VM 0 is hosted at hour 1");
+        // A fresh exchange for VM 0, with its next event due now.
+        let exchange = |sim: &mut Sim, ex: Exchange, event: fn(u64, u32) -> Event| {
+            let cp = control_plane(&mut sim.control);
+            let id = cp.next_id;
+            cp.next_id += 1;
+            cp.by_vm.insert(ex.vm, id);
+            let epoch = ex.epoch;
+            cp.exchanges.insert(id, ex);
+            sim.queue.schedule(sim.now, event(id, epoch));
+        };
+        let new_vm = Exchange {
+            vm: VmId(0),
+            subject: PlacementSubject::NewVm,
+            epoch: 1,
+            started_secs: 3600.0,
+            rounds: 1,
+            acceptors: Vec::new(),
+            pending_commit: None,
+        };
+        type Mutation<'a> = Box<dyn Fn(&mut Sim) + 'a>;
+        let cases: Vec<(&str, Mutation<'_>)> = vec![
+            (
+                "engine",
+                Box::new(|s| {
+                    s.overload_active.insert(999);
+                }),
+            ),
+            (
+                "engine",
+                Box::new(|s| {
+                    s.alive_vms.insert(999);
+                }),
+            ),
+            (
+                "cluster",
+                Box::new(|s| s.cluster.servers[0].vms.push(VmId(999))),
+            ),
+            (
+                "cluster",
+                Box::new(|s| s.cluster.vms[0].state = VmState::Hosted { host: bad }),
+            ),
+            (
+                "cluster",
+                Box::new(move |s| {
+                    s.cluster.vms[0].state = VmState::Migrating {
+                        from: host,
+                        to: bad,
+                    }
+                }),
+            ),
+            ("cluster", Box::new(|s| s.cluster.vms[0].trace_idx = 999)),
+            (
+                "queue",
+                Box::new(|s| s.queue.schedule(s.now, Event::MonitorTick(bad))),
+            ),
+            (
+                "queue",
+                Box::new(|s| s.queue.schedule(s.now, Event::Departure(VmId(999)))),
+            ),
+            (
+                "queue",
+                Box::new(|s| s.queue.schedule(s.now, Event::Spawn(999))),
+            ),
+            (
+                "control",
+                Box::new({
+                    let ex = Exchange {
+                        vm: VmId(999),
+                        ..new_vm.clone()
+                    };
+                    move |s| exchange(s, ex.clone(), Event::ExchangeCollect)
+                }),
+            ),
+            (
+                "control",
+                Box::new({
+                    let ex = Exchange {
+                        subject: PlacementSubject::Migration {
+                            source: bad,
+                            kind: MigrationKind::High,
+                            source_utilization: 0.99,
+                        },
+                        ..new_vm.clone()
+                    };
+                    move |s| exchange(s, ex.clone(), Event::ExchangeCollect)
+                }),
+            ),
+            (
+                "control",
+                Box::new({
+                    let ex = Exchange {
+                        acceptors: vec![bad],
+                        ..new_vm.clone()
+                    };
+                    move |s| exchange(s, ex.clone(), Event::ExchangeCollect)
+                }),
+            ),
+            (
+                "control",
+                Box::new({
+                    let ex = Exchange {
+                        pending_commit: Some(bad),
+                        ..new_vm.clone()
+                    };
+                    move |s| exchange(s, ex.clone(), Event::ExchangeCommitArrive)
+                }),
+            ),
+        ];
+        for (section, mutate) in cases {
+            let (fleet, workload, config) = make();
+            let mut sim = Simulation::new(fleet, workload, config, FirstFit);
+            while sim.now() < 3600.0 && sim.step().is_some() {}
+            mutate(&mut sim);
+            match restore(&sim) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("section '{section}'")) && msg.contains("999"),
+                    "{section}: {msg}"
+                ),
+                Err(other) => panic!("{section}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("{section}: a hostile id was restored"),
             }
         }
     }

@@ -35,7 +35,7 @@
 //! oracle for the equivalence tests below. See `DESIGN.md` §14 for
 //! the full determinism argument.
 
-use crate::checkpoint::{CheckpointError, Dec, Enc};
+use crate::checkpoint::{CheckpointError, Dec, Enc, IdBounds};
 use crate::ids::{ServerId, VmId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -161,19 +161,26 @@ impl Event {
         }
     }
 
-    /// Checkpoint decoding, inverse of [`encode`](Self::encode).
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+    /// Checkpoint decoding, inverse of [`encode`](Self::encode). Every
+    /// server, VM and spawn id is checked against `ids`; exchange ids
+    /// are looked up, never indexed, so an unknown one is only stale.
+    pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
+        let server = |d: &mut Dec<'_>| d.id("server", ids.servers).map(ServerId);
+        let vm = |d: &mut Dec<'_>| d.id("VM", ids.vms).map(VmId);
         Ok(match d.u8()? {
             0 => Event::DemandUpdate,
-            1 => Event::MonitorTick(ServerId(d.u32()?)),
-            2 => Event::Spawn(d.usize()?),
-            3 => Event::Departure(VmId(d.u32()?)),
-            4 => Event::MigrationComplete(VmId(d.u32()?), d.u32()?),
-            5 => Event::WakeComplete(ServerId(d.u32()?), d.u32()?),
-            6 => Event::HibernateCheck(ServerId(d.u32()?)),
+            1 => Event::MonitorTick(server(d)?),
+            2 => {
+                let i = d.usize()?;
+                Event::Spawn(d.in_range("spawn", i, ids.spawns)?)
+            }
+            3 => Event::Departure(vm(d)?),
+            4 => Event::MigrationComplete(vm(d)?, d.u32()?),
+            5 => Event::WakeComplete(server(d)?, d.u32()?),
+            6 => Event::HibernateCheck(server(d)?),
             7 => Event::MetricsSample,
             8 => Event::FaultCrash,
-            9 => Event::FaultRepair(ServerId(d.u32()?)),
+            9 => Event::FaultRepair(server(d)?),
             10 => Event::ExchangeCollect(d.u64()?, d.u32()?),
             11 => Event::ExchangeCommitArrive(d.u64()?, d.u32()?),
             12 => Event::ExchangeCommitTimeout(d.u64()?, d.u32()?),
@@ -1028,8 +1035,9 @@ impl EventQueue {
         }
     }
 
-    /// Checkpoint decoding, inverse of [`encode`](Self::encode).
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+    /// Checkpoint decoding, inverse of [`encode`](Self::encode); each
+    /// event's ids are checked against `ids`.
+    pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
         let reserved = d.u8()?;
         if reserved != 0 {
             return Err(CheckpointError::Corrupt(format!(
@@ -1045,7 +1053,7 @@ impl EventQueue {
         for _ in 0..n {
             let t = d.f64()?;
             let seq = d.u64()?;
-            let event = Event::decode(d)?;
+            let event = Event::decode(d, ids)?;
             entries.push((t, seq, event));
         }
         Ok(Self::restore_parts(&entries, next_seq, now_floor))
@@ -1092,6 +1100,14 @@ impl ReferenceHeap {
 mod tests {
     use super::*;
     use ecocloud_rng::{Rng, SeedableRng, StdRng};
+
+    /// Bounds that admit every id: these tests exercise the codec, not
+    /// the range checks.
+    const ANY_IDS: IdBounds = IdBounds {
+        servers: usize::MAX,
+        vms: usize::MAX,
+        spawns: usize::MAX,
+    };
 
     /// The calendar stays in cache because its entries stay small:
     /// growing `Event` (or `Scheduled`) silently doubles the wheel's
@@ -1293,7 +1309,7 @@ mod tests {
         q.encode(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes, "queue");
-        let mut decoded = EventQueue::decode(&mut d).expect("queue decodes");
+        let mut decoded = EventQueue::decode(&mut d, &ANY_IDS).expect("queue decodes");
         d.finish().expect("queue section fully consumed");
         assert_eq!(decoded.snapshot_parts(), (entries, next_seq, now_floor));
 
@@ -1376,10 +1392,10 @@ mod tests {
         q.encode(&mut e);
         let mut bytes = e.into_bytes();
         assert_eq!(bytes[0], 0);
-        assert!(EventQueue::decode(&mut Dec::new(&bytes, "queue")).is_ok());
+        assert!(EventQueue::decode(&mut Dec::new(&bytes, "queue"), &ANY_IDS).is_ok());
         bytes[0] = 1;
         assert!(matches!(
-            EventQueue::decode(&mut Dec::new(&bytes, "queue")),
+            EventQueue::decode(&mut Dec::new(&bytes, "queue"), &ANY_IDS),
             Err(CheckpointError::Corrupt(_))
         ));
     }
@@ -1410,10 +1426,10 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes, "events");
         for ev in &all {
-            assert_eq!(&Event::decode(&mut d).expect("decodes"), ev);
+            assert_eq!(&Event::decode(&mut d, &ANY_IDS).expect("decodes"), ev);
         }
         d.finish().expect("all consumed");
-        assert!(Event::decode(&mut Dec::new(&[200], "events")).is_err());
+        assert!(Event::decode(&mut Dec::new(&[200], "events"), &ANY_IDS).is_err());
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct EcoCloudPolicy {
     grace_until: Vec<f64>,
     /// Per-server time of the last low-migration trial (seconds).
     last_low_trial: Vec<f64>,
-    /// Scratch buffer of acceptors (reused across calls to avoid
-    /// allocating on every invitation round).
+    /// Scratch buffer of acceptors, one slot per powered server
+    /// (reused across calls to avoid allocating on every invitation
+    /// round); a round's acceptors fill its front.
     acceptors: Vec<ServerId>,
     /// Per-server `(u.to_bits(), f_a(u))` of the configured assignment
     /// function at the decision utilization an invitation round last
@@ -120,25 +121,32 @@ impl EcoCloudPolicy {
         let u = server.decision_utilization();
         let fits = u + req.demand_mhz / server.capacity_mhz() <= fa.ta + 1e-12;
         // §V: other resources act as constraints to be satisfied —
-        // memory must stay under its threshold.
-        let ram_fits = !self.cfg.ram_aware
+        // memory must stay under its threshold. Checked only once the
+        // CPU fits.
+        fits && (!self.cfg.ram_aware
             || req.ram_mb <= 0.0
             || server.decision_ram_utilization() + req.ram_mb / server.spec.ram_mb
-                <= self.cfg.ram_threshold + 1e-12;
-        fits && ram_fits
+                <= self.cfg.ram_threshold + 1e-12)
     }
 
     /// One invitation broadcast: every powered server (minus the
     /// exclusion) runs its local admission test — the fit check, then
     /// the Bernoulli `f_a(u)` trial, bypassed during the §IV newcomer
-    /// grace. Fills `self.acceptors` in fleet order.
+    /// grace. Writes the acceptors, in fleet order, to the front of
+    /// `self.acceptors` and returns how many there are.
     fn invite_round(
         &mut self,
         view: &ClusterView<'_>,
         req: &PlacementRequest,
         fa: &AssignmentFunction,
-    ) {
-        self.acceptors.clear();
+    ) -> usize {
+        // Every powered server gets a slot, and each one advances the
+        // count by its verdict, so appending costs no branch on the
+        // (unpredictable) trial outcome.
+        if self.acceptors.len() < view.n_powered() {
+            self.acceptors.resize(view.n_powered(), ServerId(0));
+        }
+        let mut n_accepts = 0;
         let m_p = fa.m_p();
         // The memo holds values of the configured function only; a high
         // migration's lowered threshold is evaluated fresh.
@@ -171,10 +179,10 @@ impl EcoCloudPolicy {
                 };
                 p > 0.0 && self.rng.gen_bool(p)
             };
-            if accepts {
-                self.acceptors.push(sid);
-            }
+            self.acceptors[n_accepts] = sid;
+            n_accepts += usize::from(accepts);
         }
+        n_accepts
     }
 
     /// §II fallback once every invitation round came up empty: for a
@@ -229,9 +237,9 @@ impl Policy for EcoCloudPolicy {
         // Bernoulli trial. Re-broadcast up to `assignment_rounds`
         // times before concluding that nobody can host the VM.
         for _ in 0..self.cfg.assignment_rounds {
-            self.invite_round(view, req, &fa);
-            if !self.acceptors.is_empty() {
-                let pick = self.rng.gen_range(0..self.acceptors.len());
+            let n_accepts = self.invite_round(view, req, &fa);
+            if n_accepts > 0 {
+                let pick = self.rng.gen_range(0..n_accepts);
                 return PlaceOutcome::Place(self.acceptors[pick]);
             }
         }
@@ -241,8 +249,8 @@ impl Policy for EcoCloudPolicy {
     fn invite(&mut self, view: &ClusterView<'_>, req: &PlacementRequest) -> Option<Vec<ServerId>> {
         self.ensure_grace_len(view.n_servers());
         let fa = self.effective_fa(req);
-        self.invite_round(view, req, &fa);
-        Some(self.acceptors.clone())
+        let n_accepts = self.invite_round(view, req, &fa);
+        Some(self.acceptors[..n_accepts].to_vec())
     }
 
     fn choose_acceptor(&mut self, acceptors: &[ServerId]) -> usize {

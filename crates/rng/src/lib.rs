@@ -105,6 +105,9 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     }
 }
 
+/// SplitMix64's state increment: each draw adds it once.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 generator.
 #[derive(Debug, Clone)]
 pub struct StdRng {
@@ -125,12 +128,19 @@ impl StdRng {
     pub fn from_state(state: u64) -> Self {
         StdRng { state }
     }
+
+    /// Advances the stream past `n` draws in O(1). The state is a
+    /// counter that each draw bumps by the same increment, so this
+    /// leaves it exactly where `n` calls of [`Rng::next_u64`] would.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
+    }
 }
 
 impl Rng for StdRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

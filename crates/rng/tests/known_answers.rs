@@ -80,6 +80,45 @@ fn state_round_trip_continues_mid_stream() {
 }
 
 #[test]
+fn skip_equals_that_many_draws() {
+    for n in [0u64, 1, 2, 3, 1_000] {
+        let mut drawn = StdRng::seed_from_u64(11);
+        for _ in 0..n {
+            drawn.next_u64();
+        }
+        let mut jumped = StdRng::seed_from_u64(11);
+        jumped.skip(n);
+        assert_eq!(jumped.state(), drawn.state(), "n = {n}");
+        assert_eq!(jumped.next_u64(), drawn.next_u64(), "n = {n}");
+    }
+}
+
+#[test]
+fn skips_compose_including_a_wrapping_sum() {
+    let pairs = [
+        (0u64, 0u64),
+        (1, 2),
+        (1_000, 24),
+        (u64::MAX, 1),
+        (u64::MAX - 5, 17),
+        (1 << 63, 1 << 63),
+    ];
+    for (a, b) in pairs {
+        let mut two = StdRng::seed_from_u64(3);
+        two.skip(a);
+        two.skip(b);
+        let mut one = StdRng::seed_from_u64(3);
+        one.skip(a.wrapping_add(b));
+        assert_eq!(two.state(), one.state(), "skip({a}) + skip({b})");
+    }
+    // 2^64 draws bring the counter back to where it started.
+    let mut full = StdRng::seed_from_u64(3);
+    full.skip(u64::MAX);
+    full.next_u64();
+    assert_eq!(full.state(), StdRng::seed_from_u64(3).state());
+}
+
+#[test]
 #[should_panic(expected = "out of range")]
 fn gen_bool_rejects_probability_above_one() {
     StdRng::seed_from_u64(1).gen_bool(1.5);
