@@ -5,6 +5,7 @@ use dcsim::{
     Policy, ServerId,
 };
 use ecocloud_rng::{Rng, SeedableRng, StdRng};
+use std::ops::RangeInclusive;
 
 /// Picks the feasible powered server with the *tightest* residual
 /// capacity (classic Best Fit), preferring already-started servers so
@@ -152,6 +153,17 @@ impl Policy for BestFitPolicy {
             });
         }
         None
+    }
+
+    fn quiet_band(&self, _n_servers: usize) -> Option<RangeInclusive<f64>> {
+        // In `[T_l, T_h]` neither `u > T_h` nor `u < T_l` holds, and
+        // with migrations off nothing does, so `monitor` returns `None`.
+        // It never draws and keeps no state.
+        Some(if self.migrations {
+            self.tl..=self.th
+        } else {
+            f64::NEG_INFINITY..=f64::INFINITY
+        })
     }
 }
 

@@ -648,7 +648,10 @@ impl Cluster {
         e.usize(self.servers.len());
         for s in &self.servers {
             encode_server_state(s.state, e);
-            e.u32s(&s.vms.iter().map(|v| v.0).collect::<Vec<u32>>());
+            e.usize(s.vms.len());
+            for v in &s.vms {
+                e.u32(v.0);
+            }
             e.f64(s.used_ram_mb);
             e.f64(s.reserved_ram_mb);
             e.u32(s.reserved_count);
@@ -704,14 +707,16 @@ impl Cluster {
         let n_vms = d.usize()?;
         d.check_remaining(n_vms, 44)?; // fixed-width VM fields
 
-        // The server lists precede the table, so their VM ids are
-        // checked once its size is known.
-        for v in self.servers.iter().flat_map(|s| &s.vms) {
-            d.in_range("hosted VM", v.index(), n_vms)?;
-        }
+        // The decode-time half of `check_invariants`: each VM must
+        // execute on the server that lists it, and on no server when
+        // none does. Checked as the table is read, so a snapshot whose
+        // ids are each in range but disagree with each other is
+        // `Corrupt`, naming the VM and the server, instead of running
+        // on broken accounting.
+        let listed_by = self.listing_servers(d, n_vms)?;
         self.vms.clear();
         self.vms.reserve(n_vms);
-        for i in 0..n_vms {
+        for (i, &lister) in listed_by.iter().enumerate() {
             let id = VmId(d.u32()?);
             if id.index() != i {
                 return Err(d.corrupt(format_args!("VM {id} stored at index {i}")));
@@ -727,7 +732,7 @@ impl Cluster {
             let lifetime_secs = d.opt_f64()?;
             let started = d.bool()?;
             let evictable = d.bool()?;
-            self.vms.push(Vm {
+            let vm = Vm {
                 id,
                 trace_idx,
                 demand_mhz,
@@ -739,7 +744,22 @@ impl Cluster {
                 lifetime_secs,
                 started,
                 evictable,
-            });
+            };
+            match (lister.checked_sub(1).map(ServerId), vm.executing_on()) {
+                (Some(sid), on) if on != Some(sid) => {
+                    return Err(d.corrupt(format_args!(
+                        "VM {id} is listed on server {sid} but its state is {:?}",
+                        vm.state
+                    )))
+                }
+                (None, Some(host)) => {
+                    return Err(d.corrupt(format_args!(
+                        "VM {id} executes on server {host} but is not in its list"
+                    )))
+                }
+                _ => {}
+            }
+            self.vms.push(vm);
         }
         let used = d.f64s()?;
         let reserved = d.f64s()?;
@@ -767,6 +787,35 @@ impl Cluster {
             };
         }
         Ok(())
+    }
+
+    /// Which server lists each of `n_vms` VMs, read from the server
+    /// lists that precede the VM table: entry `v` is 1 + the id of the
+    /// server whose list holds VM `v`, or 0 when none does. Checks that
+    /// every listed id is in range, that no VM is listed twice and
+    /// that a failed server lists none.
+    fn listing_servers(&self, d: &Dec<'_>, n_vms: usize) -> Result<Vec<u32>, CheckpointError> {
+        let mut listed_by = vec![0u32; n_vms];
+        for (i, s) in self.servers.iter().enumerate() {
+            let sid = ServerId(i as u32);
+            if matches!(s.state, ServerState::Failed { .. }) && !s.vms.is_empty() {
+                return Err(d.corrupt(format_args!(
+                    "failed server {sid} lists {} VMs",
+                    s.vms.len()
+                )));
+            }
+            for &v in &s.vms {
+                d.in_range("hosted VM", v.index(), n_vms)?;
+                let first = std::mem::replace(&mut listed_by[v.index()], sid.0 + 1);
+                if first != 0 {
+                    return Err(d.corrupt(format_args!(
+                        "VM {v} is listed on server {} and again on server {sid}",
+                        ServerId(first - 1)
+                    )));
+                }
+            }
+        }
+        Ok(listed_by)
     }
 
     /// Read-only view for policies.

@@ -207,6 +207,17 @@ impl<P: Policy> Simulation<P> {
     /// [`InitialPlacement::ViaPolicy`] workloads and active for
     /// [`InitialPlacement::Spread`] ones.
     pub fn new(fleet: Fleet, workload: Workload, config: SimConfig, policy: P) -> Self {
+        let mut sim = Self::unscheduled(fleet, workload, config, policy);
+        sim.schedule_initial_events();
+        sim
+    }
+
+    /// Validates the inputs and builds the engine as it stands at
+    /// t = 0, with nothing scheduled: [`new`](Self::new) then queues
+    /// the initial events, and [`restore_from`](Self::restore_from)
+    /// overwrites everything that schedule touches (the queue,
+    /// `monitor_scheduled`, the fault RNG's first draw) instead.
+    fn unscheduled(fleet: Fleet, workload: Workload, config: SimConfig, policy: P) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid simulation config: {e}");
         }
@@ -215,7 +226,11 @@ impl<P: Policy> Simulation<P> {
             InitialPlacement::ViaPolicy => ServerState::Hibernated,
             InitialPlacement::Spread => ServerState::Active,
         };
-        let cluster = Cluster::new(&fleet, initial_state);
+        let mut cluster = Cluster::new(&fleet, initial_state);
+        // Each spawn adds one VM: room for all of them up front, so the
+        // table never moves, not even at the first arrival after a
+        // restore.
+        cluster.vms.reserve(workload.spawns.len());
         let n_servers = cluster.n_servers();
         let record_events = config.record_events;
         let fault_rng = config
@@ -231,7 +246,7 @@ impl<P: Policy> Simulation<P> {
         // up front) plus a monitor chain per server.
         let queue = EventQueue::with_capacity(n_servers + workload.spawns.len());
         let cursors = workload.traces.vms.iter().map(VmTrace::cursor).collect();
-        let mut sim = Self {
+        Self {
             config,
             cluster,
             policy,
@@ -255,9 +270,7 @@ impl<P: Policy> Simulation<P> {
             wake_attempts: vec![0; n_servers],
             control,
             log: EventLog::new(record_events),
-        };
-        sim.schedule_initial_events();
-        sim
+        }
     }
 
     fn schedule_initial_events(&mut self) {
@@ -330,39 +343,41 @@ impl<P: Policy> Simulation<P> {
     /// `spec` is the canonical scenario string the resume will be
     /// validated against; `seq` is a caller-chosen monotonic sequence
     /// number (checkpoint N of this run).
-    pub fn checkpoint(&self, spec: &str, seq: u64) -> Checkpoint {
-        let mut ckpt = Checkpoint::new(spec, seq, self.now);
-        let mut e = Enc::new();
-        self.encode_engine(&mut e);
-        ckpt.push_section("engine", e.into_bytes());
-        let mut e = Enc::new();
-        self.encode_traces(&mut e);
-        ckpt.push_section("traces", e.into_bytes());
-        let mut e = Enc::new();
-        self.cluster.encode(&mut e);
-        ckpt.push_section("cluster", e.into_bytes());
-        let mut e = Enc::new();
-        self.queue.encode(&mut e);
-        ckpt.push_section("queue", e.into_bytes());
-        let mut e = Enc::new();
-        self.stats.encode(&mut e);
-        ckpt.push_section("stats", e.into_bytes());
-        let mut e = Enc::new();
-        match &self.control {
+    pub fn checkpoint(&self, spec: &str, seq: u64) -> Checkpoint<'static> {
+        let mut ckpt = Checkpoint::with_capacity(spec, seq, self.now, self.checkpoint_size_hint());
+        ckpt.encode_section("engine", |e| self.encode_engine(e));
+        ckpt.encode_section("traces", |e| self.encode_traces(e));
+        ckpt.encode_section("cluster", |e| self.cluster.encode(e));
+        ckpt.encode_section("queue", |e| self.queue.encode(e));
+        ckpt.encode_section("stats", |e| self.stats.encode(e));
+        ckpt.encode_section("control", |e| match &self.control {
             None => e.bool(false),
             Some(cp) => {
                 e.bool(true);
-                cp.encode(&mut e);
+                cp.encode(e);
             }
-        }
-        ckpt.push_section("control", e.into_bytes());
-        let mut e = Enc::new();
-        self.log.encode(&mut e);
-        ckpt.push_section("log", e.into_bytes());
-        let mut e = Enc::new();
-        e.u64s(&self.policy.checkpoint_state());
-        ckpt.push_section("policy", e.into_bytes());
+        });
+        ckpt.encode_section("log", |e| self.log.encode(e));
+        ckpt.encode_section("policy", |e| e.u64s(&self.policy.checkpoint_state()));
         ckpt
+    }
+
+    /// Bytes the sections of a snapshot of this state take, give or
+    /// take: the per-server, per-VM, per-trace and per-event terms,
+    /// which are all but the statistics' series and the event log.
+    fn checkpoint_size_hint(&self) -> usize {
+        // Per server: the engine's vectors, the cluster's record and hot
+        // vectors, and ecoCloud's two policy words, under 128 B. Per VM
+        // at most 61 B in the table plus 4 B in each of the alive set
+        // and a server list; per trace cursor 25 B; per queued event at
+        // most 29 B; and 4 KiB for the fixed fields.
+        128 * self.cluster.n_servers()
+            + 61 * self.cluster.vms.len()
+            + 8 * self.alive_vms.len()
+            + 25 * self.cursors.len()
+            + 29 * self.queue.len()
+            + self.stats.encoded_len_hint()
+            + 4096
     }
 
     /// Rebuilds a simulation from a checkpoint taken by
@@ -384,11 +399,11 @@ impl<P: Policy> Simulation<P> {
         workload: Workload,
         config: SimConfig,
         policy: P,
-        ckpt: &Checkpoint,
+        ckpt: &Checkpoint<'_>,
         spec: &str,
     ) -> Result<Self, CheckpointError> {
         ckpt.verify_compat(spec)?;
-        let mut sim = Self::new(fleet, workload, config, policy);
+        let mut sim = Self::unscheduled(fleet, workload, config, policy);
 
         // The cluster goes first: its VM table sizes the VM ids every
         // later section is checked against.
@@ -3060,11 +3075,7 @@ mod tests {
         let restore = |traces: Vec<u8>| {
             let mut bad = Checkpoint::new("t", 0, ckpt.sim_time_secs);
             for (name, bytes) in ckpt.sections() {
-                let bytes = if name == "traces" {
-                    traces.clone()
-                } else {
-                    bytes.clone()
-                };
+                let bytes = if name == "traces" { &traces } else { bytes };
                 bad.push_section(name, bytes);
             }
             let (fleet, workload, config) = make();
@@ -3252,6 +3263,100 @@ mod tests {
                 ),
                 Err(other) => panic!("{section}: expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("{section}: a hostile id was restored"),
+            }
+        }
+    }
+
+    /// A snapshot whose ids are each in range but disagree with each
+    /// other is refused with `Corrupt`, naming the VM and the server,
+    /// in release builds as in debug ones: the VM table and the server
+    /// lists are cross-checked as the `cluster` section is decoded,
+    /// before the debug-only round-trip oracle and its invariant
+    /// check. The first case is an honest snapshot with one field
+    /// rewritten — VM 0's host, set to another valid server — and a
+    /// valid checksum.
+    #[test]
+    fn inconsistent_hosting_is_refused_in_every_build() {
+        type Sim = Simulation<FirstFit>;
+        let make = || {
+            let mut config = quick_config();
+            config.control_plane = crate::config::ControlPlaneConfig::lan(3);
+            (
+                Fleet::uniform(6, 6),
+                Workload::all_vms_from_start(small_traces(8)),
+                config,
+            )
+        };
+        let at_hour_1 = || {
+            let (fleet, workload, config) = make();
+            let mut sim = Simulation::new(fleet, workload, config, FirstFit);
+            while sim.now() < 3600.0 && sim.step().is_some() {}
+            sim
+        };
+        let restore = |bytes: &[u8]| {
+            let ckpt = Checkpoint::from_bytes(bytes, "mem")?;
+            let (fleet, workload, config) = make();
+            Simulation::restore_from(fleet, workload, config, FirstFit, &ckpt, "t").map(|_| ())
+        };
+        let honest = at_hour_1();
+        let VmState::Hosted { host } = honest.cluster.vms[0].state else {
+            panic!("VM 0 is hosted at hour 1");
+        };
+        let other = ServerId((host.0 + 1) % 6);
+        let honest = honest.checkpoint("t", 0).to_bytes();
+        assert_eq!(restore(&honest), Ok(()));
+
+        type Mutation = Box<dyn Fn(&mut Sim)>;
+        let cases: Vec<(Mutation, String)> = vec![
+            (
+                Box::new(move |s| s.cluster.vms[0].state = VmState::Hosted { host: other }),
+                format!(
+                    "VM vm0 is listed on server {host} but its state is {:?}",
+                    VmState::Hosted { host: other }
+                ),
+            ),
+            (
+                Box::new(move |s| s.cluster.servers[host.index()].vms.push(VmId(0))),
+                format!("VM vm0 is listed on server {host} and again on server {host}"),
+            ),
+            (
+                Box::new(move |s| {
+                    s.cluster.servers[host.index()]
+                        .vms
+                        .retain(|&v| v != VmId(0))
+                }),
+                format!("VM vm0 executes on server {host} but is not in its list"),
+            ),
+            (
+                Box::new(move |s| {
+                    s.cluster.servers[host.index()].state =
+                        ServerState::Failed { until_secs: 7200.0 }
+                }),
+                format!("failed server {host} lists"),
+            ),
+        ];
+        for (i, (mutate, want)) in cases.into_iter().enumerate() {
+            let mut sim = at_hour_1();
+            mutate(&mut sim);
+            let bytes = sim.checkpoint("t", 0).to_bytes();
+            if i == 0 {
+                // Only VM 0's 4-byte host id and the checksum changed.
+                let differ: Vec<usize> = (0..bytes.len())
+                    .filter(|&j| bytes[j] != honest[j])
+                    .collect();
+                let body = bytes.len() - 8;
+                let host_bytes: Vec<usize> = differ.iter().copied().filter(|&j| j < body).collect();
+                assert!(
+                    !host_bytes.is_empty() && host_bytes[host_bytes.len() - 1] - host_bytes[0] < 4,
+                    "rewrite touched bytes {host_bytes:?}"
+                );
+            }
+            match restore(&bytes) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(
+                    msg.contains("section 'cluster'") && msg.contains(&want),
+                    "case {i}: {msg}"
+                ),
+                other => panic!("case {i}: expected Corrupt, got {other:?}"),
             }
         }
     }

@@ -210,6 +210,18 @@ impl PartialEq for Scheduled {
 }
 impl Eq for Scheduled {}
 
+impl Scheduled {
+    /// `(time, seq)` as one integer that orders as `total_cmp` on the
+    /// times, then the sequence numbers, do: the time's bits mapped as
+    /// `f64::total_cmp` maps them, with the sign bit flipped so the
+    /// result compares unsigned, above the sequence number.
+    fn order_key(&self) -> u128 {
+        let bits = self.t_secs.to_bits() as i64;
+        let t = (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ (1 << 63);
+        (t as u128) << 64 | self.seq as u128
+    }
+}
+
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want the
@@ -961,14 +973,14 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Captures the queue as `(entries, next_seq, now_floor)` for a
-    /// checkpoint. Entries are every pending `(time, seq, event)`
-    /// sorted by `(time, seq)` — the canonical form: two queues with
-    /// the same pending set produce the same bytes regardless of which
-    /// store holds an event and of how their wheels, spill heaps, or
-    /// cursors currently lay the events out, which is what makes
-    /// re-snapshot byte-equality (the restore oracle) hold.
-    pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
+    /// Every pending event sorted by `(time, seq)` — the canonical
+    /// form: two queues with the same pending set produce the same
+    /// bytes regardless of which store holds an event and of how their
+    /// wheels, spill heaps, or cursors currently lay the events out,
+    /// which is what makes re-snapshot byte-equality (the restore
+    /// oracle) hold. Sequence numbers are unique, so an unstable sort,
+    /// in place and with no scratch buffer, gives the one order.
+    fn sorted_entries(&self) -> Vec<Scheduled> {
         let mut entries: Vec<Scheduled> = Vec::with_capacity(self.len);
         entries.extend(self.entries().copied());
         debug_assert_eq!(
@@ -976,13 +988,17 @@ impl EventQueue {
             self.len,
             "queue len out of sync with storage"
         );
-        entries.sort_by(|a, b| {
-            a.t_secs
-                .total_cmp(&b.t_secs)
-                .then_with(|| a.seq.cmp(&b.seq))
-        });
+        entries.sort_unstable_by_key(Scheduled::order_key);
+        entries
+    }
+
+    /// Captures the queue as `(entries, next_seq, now_floor)`, the
+    /// entries in the canonical order of
+    /// [`sorted_entries`](Self::sorted_entries).
+    #[cfg(test)]
+    pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
         (
-            entries
+            self.sorted_entries()
                 .into_iter()
                 .map(|s| (s.t_secs, s.seq, s.event))
                 .collect(),
@@ -991,52 +1007,70 @@ impl EventQueue {
         )
     }
 
+    /// An empty queue that continues a captured one: its next event
+    /// gets `next_seq`, and nothing may be scheduled before
+    /// `now_floor`. Fill it with [`restore_entry`](Self::restore_entry).
+    fn restored(capacity: usize, next_seq: u64, now_floor: f64) -> Self {
+        let mut q = Self::with_capacity(capacity);
+        q.next_seq = next_seq;
+        q.now_floor = now_floor;
+        q
+    }
+
+    /// Files one captured entry, keeping its original sequence number
+    /// (re-assigning them would reorder simultaneous events). Pop
+    /// order depends only on the `(time, seq)` total order — proven
+    /// pop-for-pop identical to [`ReferenceHeap`] — so the rebuilt
+    /// wheel's cursor starting at zero instead of the original's
+    /// advanced position, its default geometry until the first retune,
+    /// and every entry landing in the calendar (the lane refills as the
+    /// restored chains tick) are invisible.
+    fn restore_entry(&mut self, t_secs: f64, seq: u64, event: Event) {
+        debug_assert!(
+            seq < self.next_seq,
+            "entry seq {seq} >= next_seq {}",
+            self.next_seq
+        );
+        self.cal.insert(Scheduled { t_secs, seq, event });
+        self.cal.grow_if_loaded();
+        self.len += 1;
+    }
+
     /// Rebuilds a queue from parts captured with
-    /// [`snapshot_parts`](Self::snapshot_parts), preserving each
-    /// entry's original sequence number (re-assigning them would
-    /// reorder simultaneous events). Pop order depends only on the
-    /// `(time, seq)` total order — proven pop-for-pop identical to
-    /// [`ReferenceHeap`] — so the rebuilt wheel's cursor starting at
-    /// zero instead of the original's advanced position, its default
-    /// geometry until the first retune, and every entry landing in the
-    /// calendar (the lane refills as the restored chains tick) are
-    /// invisible.
+    /// [`snapshot_parts`](Self::snapshot_parts).
+    #[cfg(test)]
     pub(crate) fn restore_parts(
         entries: &[(f64, u64, Event)],
         next_seq: u64,
         now_floor: f64,
     ) -> Self {
-        let mut q = Self::with_capacity(entries.len());
-        q.now_floor = now_floor;
+        let mut q = Self::restored(entries.len(), next_seq, now_floor);
         for &(t_secs, seq, event) in entries {
-            debug_assert!(seq < next_seq, "entry seq {seq} >= next_seq {next_seq}");
-            q.cal.insert(Scheduled { t_secs, seq, event });
-            q.cal.grow_if_loaded();
+            q.restore_entry(t_secs, seq, event);
         }
-        q.len = entries.len();
-        q.next_seq = next_seq;
         q
     }
 
     /// Checkpoint encoding: a reserved zero byte, counters, then the
     /// canonical `(time, seq, event)` entry list.
     pub(crate) fn encode(&self, e: &mut Enc) {
-        let (entries, next_seq, now_floor) = self.snapshot_parts();
         // Reserved, always 0: the byte keeps the section layout of
         // earlier snapshots, which restore unchanged.
         e.u8(0);
-        e.u64(next_seq);
-        e.f64(now_floor);
+        e.u64(self.next_seq);
+        e.f64(self.now_floor);
+        let entries = self.sorted_entries();
         e.usize(entries.len());
-        for (t, seq, event) in &entries {
-            e.f64(*t);
-            e.u64(*seq);
-            event.encode(e);
+        for s in &entries {
+            e.f64(s.t_secs);
+            e.u64(s.seq);
+            s.event.encode(e);
         }
     }
 
     /// Checkpoint decoding, inverse of [`encode`](Self::encode); each
-    /// event's ids are checked against `ids`.
+    /// event's ids are checked against `ids`, and each sequence number
+    /// against the queue's next one.
     pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
         let reserved = d.u8()?;
         if reserved != 0 {
@@ -1049,14 +1083,19 @@ impl EventQueue {
         let n = d.usize()?;
         // 17 B minimum per entry: f64 + u64 + 1-byte tag.
         d.check_remaining(n, 17)?;
-        let mut entries = Vec::with_capacity(n);
+        let mut q = Self::restored(n, next_seq, now_floor);
         for _ in 0..n {
             let t = d.f64()?;
             let seq = d.u64()?;
+            if seq >= next_seq {
+                return Err(d.corrupt(format_args!(
+                    "event seq {seq} is not below the next seq {next_seq}"
+                )));
+            }
             let event = Event::decode(d, ids)?;
-            entries.push((t, seq, event));
+            q.restore_entry(t, seq, event);
         }
-        Ok(Self::restore_parts(&entries, next_seq, now_floor))
+        Ok(q)
     }
 
     /// Files `event` at `t_secs` with the next sequence number straight
@@ -1108,6 +1147,49 @@ mod tests {
         vms: usize::MAX,
         spawns: usize::MAX,
     };
+
+    /// The snapshot sort key orders entries exactly as `total_cmp` on
+    /// the times, then the sequence numbers, including signed zeros,
+    /// subnormals and infinities.
+    #[test]
+    fn order_key_matches_total_cmp_then_seq() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1e-300,
+            0.5,
+            1.0,
+            86_400.0,
+            f64::INFINITY,
+        ];
+        let entries: Vec<Scheduled> = times
+            .iter()
+            .flat_map(|&t_secs| {
+                [2, 0, 1].map(|seq| Scheduled {
+                    t_secs,
+                    seq,
+                    event: Event::DemandUpdate,
+                })
+            })
+            .collect();
+        for a in &entries {
+            for b in &entries {
+                let want = a.t_secs.total_cmp(&b.t_secs).then(a.seq.cmp(&b.seq));
+                assert_eq!(
+                    a.order_key().cmp(&b.order_key()),
+                    want,
+                    "({}, {}) vs ({}, {})",
+                    a.t_secs,
+                    a.seq,
+                    b.t_secs,
+                    b.seq
+                );
+            }
+        }
+    }
 
     /// The calendar stays in cache because its entries stay small:
     /// growing `Event` (or `Scheduled`) silently doubles the wheel's

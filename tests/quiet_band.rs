@@ -1,16 +1,17 @@
 //! The monitor quiet band is invisible: an engine that skips
-//! `Policy::monitor` while a server's utilization lies in ecoCloud's
-//! `[T_l, T_h]` band produces the same run as one that makes every
-//! call.
+//! `Policy::monitor` while a server's utilization lies in a policy's
+//! quiet band produces the same run as one that makes every call.
 //!
 //! The oracle is [`NeverQuiet`], a wrapper that delegates every policy
-//! method to [`EcoCloudPolicy`] but keeps the trait's default
+//! method to the wrapped policy but keeps the trait's default
 //! `quiet_band` (never quiet), so its engine calls `monitor` on every
 //! active tick. Against the bare policy it must give the same
 //! `SimSummary`, statistics and event log, and the same checkpoint
 //! bytes at every compared step — the last catches policy state that
-//! the skipped calls would have changed, such as the lazily sized
-//! per-server vectors.
+//! the skipped calls would have changed, such as ecoCloud's lazily
+//! sized per-server vectors. ecoCloud's band is `[T_l, T_h]`; Best
+//! Fit's is `[T_l, T_h]` with migrations on and the whole real line
+//! with them off.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -19,15 +20,15 @@ use ecocloud::dcsim::{ClusterView, MigrationRequest, ServerId};
 use ecocloud::prelude::*;
 use ecocloud::scenarios::{ChurnKind, DEFAULT_CHURN_SHARE};
 
-/// ecoCloud with the default, never-quiet band. Counts the monitor
-/// calls the bare policy's engine skips: those made while the server's
-/// utilization lies inside ecoCloud's band.
-struct NeverQuiet {
-    inner: EcoCloudPolicy,
+/// `P` with the default, never-quiet band. Counts the monitor calls
+/// the bare policy's engine skips: those made while the server's
+/// utilization lies inside `P`'s band.
+struct NeverQuiet<P> {
+    inner: P,
     quiet_calls: Rc<Cell<u64>>,
 }
 
-impl Policy for NeverQuiet {
+impl<P: Policy> Policy for NeverQuiet<P> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -100,17 +101,23 @@ fn simulation<P: Policy>(s: &Scenario, policy: P) -> Simulation<P> {
     )
 }
 
-/// Steps the bare policy and the never-quiet oracle in lockstep,
-/// comparing checkpoint bytes after each of the first `dense` steps
-/// and every 2,000th step after that, then the finished results.
-/// Returns how many monitor calls the bare run skipped.
-fn assert_band_invisible(label: &str, s: &Scenario, seed: u64, dense: u64) -> u64 {
+/// Steps the bare policy and the never-quiet oracle, each built by
+/// `policy`, in lockstep, comparing checkpoint bytes after each of the
+/// first `dense` steps and every 2,000th step after that, then the
+/// finished results. Returns how many monitor calls the bare run
+/// skipped.
+fn assert_band_invisible<P: Policy>(
+    label: &str,
+    s: &Scenario,
+    policy: impl Fn() -> P,
+    dense: u64,
+) -> u64 {
     let quiet_calls = Rc::new(Cell::new(0));
-    let mut bare = simulation(s, EcoCloudPolicy::paper(seed));
+    let mut bare = simulation(s, policy());
     let mut oracle = simulation(
         s,
         NeverQuiet {
-            inner: EcoCloudPolicy::paper(seed),
+            inner: policy(),
             quiet_calls: Rc::clone(&quiet_calls),
         },
     );
@@ -161,7 +168,7 @@ fn quiet_band_is_invisible_closed_system() {
         },
     );
     s.config.record_events = true;
-    let skipped = assert_band_invisible("closed", &s, 31, 500);
+    let skipped = assert_band_invisible("closed", &s, || EcoCloudPolicy::paper(31), 500);
     assert!(skipped > 10_000, "only {skipped} monitor calls skipped");
 }
 
@@ -179,7 +186,7 @@ fn quiet_band_is_invisible_open_system_with_faults_and_lan() {
     s.config.control_plane = ControlPlaneConfig::lan(32);
     s.config.record_events = true;
     s.config.validate().expect("valid config");
-    let skipped = assert_band_invisible("open", &s, 32, 500);
+    let skipped = assert_band_invisible("open", &s, || EcoCloudPolicy::paper(32), 500);
     assert!(skipped > 10_000, "only {skipped} monitor calls skipped");
 }
 
@@ -218,6 +225,30 @@ fn quiet_band_is_invisible_on_a_spread_start() {
     let m = EcoCloudConfig::paper(33).migration;
     assert!((m.tl..=m.th).contains(&u0), "server 0 starts at u = {u0}");
 
-    let skipped = assert_band_invisible("spread", &s, 33, 3000);
+    let skipped = assert_band_invisible("spread", &s, || EcoCloudPolicy::paper(33), 3000);
     assert!(skipped > 1_000, "only {skipped} monitor calls skipped");
+}
+
+/// Best Fit on the paper's closed system at a tenth of its fleet
+/// (15 VMs per server, as in §III), with its migration controller on
+/// (band `[T_l, T_h]`) and off (every call is quiet).
+#[test]
+fn best_fit_quiet_band_is_invisible() {
+    let mut s = Scenario::closed_system(
+        Fleet::thirds(40),
+        TraceConfig {
+            n_vms: 600,
+            duration_secs: 8 * 3600,
+            ..TraceConfig::paper_48h(34)
+        },
+    );
+    s.config.record_events = true;
+    let skipped = assert_band_invisible("best-fit", &s, BestFitPolicy::paper, 500);
+    assert!(skipped > 10_000, "only {skipped} monitor calls skipped");
+    let off = || BestFitPolicy {
+        migrations: false,
+        ..BestFitPolicy::paper()
+    };
+    let skipped = assert_band_invisible("best-fit, migrations off", &s, off, 500);
+    assert!(skipped > 10_000, "only {skipped} monitor calls skipped");
 }
