@@ -226,11 +226,7 @@ impl<P: Policy> Simulation<P> {
             InitialPlacement::ViaPolicy => ServerState::Hibernated,
             InitialPlacement::Spread => ServerState::Active,
         };
-        let mut cluster = Cluster::new(&fleet, initial_state);
-        // Each spawn adds one VM: room for all of them up front, so the
-        // table never moves, not even at the first arrival after a
-        // restore.
-        cluster.vms.reserve(workload.spawns.len());
+        let cluster = Cluster::new(&fleet, initial_state);
         let n_servers = cluster.n_servers();
         let record_events = config.record_events;
         let fault_rng = config
@@ -344,7 +340,7 @@ impl<P: Policy> Simulation<P> {
     /// validated against; `seq` is a caller-chosen monotonic sequence
     /// number (checkpoint N of this run).
     pub fn checkpoint(&self, spec: &str, seq: u64) -> Checkpoint<'static> {
-        let mut ckpt = Checkpoint::with_capacity(spec, seq, self.now, self.checkpoint_size_hint());
+        let mut ckpt = Checkpoint::new(spec, seq, self.now);
         ckpt.encode_section("engine", |e| self.encode_engine(e));
         ckpt.encode_section("traces", |e| self.encode_traces(e));
         ckpt.encode_section("cluster", |e| self.cluster.encode(e));
@@ -360,24 +356,6 @@ impl<P: Policy> Simulation<P> {
         ckpt.encode_section("log", |e| self.log.encode(e));
         ckpt.encode_section("policy", |e| e.u64s(&self.policy.checkpoint_state()));
         ckpt
-    }
-
-    /// Bytes the sections of a snapshot of this state take, give or
-    /// take: the per-server, per-VM, per-trace and per-event terms,
-    /// which are all but the statistics' series and the event log.
-    fn checkpoint_size_hint(&self) -> usize {
-        // Per server: the engine's vectors, the cluster's record and hot
-        // vectors, and ecoCloud's two policy words, under 128 B. Per VM
-        // at most 61 B in the table plus 4 B in each of the alive set
-        // and a server list; per trace cursor 25 B; per queued event at
-        // most 29 B; and 4 KiB for the fixed fields.
-        128 * self.cluster.n_servers()
-            + 61 * self.cluster.vms.len()
-            + 8 * self.alive_vms.len()
-            + 25 * self.cursors.len()
-            + 29 * self.queue.len()
-            + self.stats.encoded_len_hint()
-            + 4096
     }
 
     /// Rebuilds a simulation from a checkpoint taken by

@@ -334,25 +334,6 @@ impl SimStats {
         }
     }
 
-    /// Bytes [`encode`](Self::encode) writes for the collectors that
-    /// grow with the run — the series, the utilization snapshots and
-    /// the CDF samples; the rest is a few hundred bytes.
-    pub(crate) fn encoded_len_hint(&self) -> usize {
-        let series = [
-            &self.overall_load,
-            &self.active_servers,
-            &self.power_w,
-            &self.overdemand_pct,
-        ];
-        let series: usize = series.iter().map(|s| 16 * s.len()).sum();
-        let snapshots: usize = self
-            .server_utilization
-            .iter()
-            .map(|(_, utils)| 16 + 4 * utils.len())
-            .sum();
-        series + snapshots + 8 * (self.violation_durations.len() + self.placement_latency.len())
-    }
-
     /// Checkpoint encoding. Every collector is captured through its
     /// raw-parts view (including the in-progress window accumulators
     /// and the CDFs' sortedness flags) so a restored run re-snapshots
