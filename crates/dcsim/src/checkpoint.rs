@@ -59,7 +59,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"ECOCKPT1";
 
 /// Bumped whenever the byte layout of any section changes.
-const FORMAT_VERSION: u32 = 3;
+const FORMAT_VERSION: u32 = 4;
 
 /// Version of the code that wrote a snapshot. Restoring across crate
 /// versions is refused: state layout is an internal detail and the
@@ -916,15 +916,18 @@ mod tests {
     /// Format 2 added the `traces` section (the engine's trace
     /// cursors), so a format-1 snapshot lacks it; format 3 changed the
     /// checksum to a word-wise sum, so a format-2 trailer does not
-    /// verify. Both must be refused by the version gate, not decoded.
+    /// verify; format 4 replaced the engine's per-server "tick queued"
+    /// flags with the `monitor` section's chain states and re-keyed the
+    /// queue for re-armed ticks. All three must be refused by the
+    /// version gate, not decoded.
     #[test]
     fn format_1_snapshots_are_refused() {
-        assert_eq!(FORMAT_VERSION, 3);
-        for found in [1, 2] {
+        assert_eq!(FORMAT_VERSION, 4);
+        for found in [1, 2, 3] {
             let bytes = with_version(sample().to_bytes(), found);
             assert_eq!(
                 Checkpoint::from_bytes(&bytes, "mem"),
-                Err(CheckpointError::FormatVersionMismatch { found, expected: 3 })
+                Err(CheckpointError::FormatVersionMismatch { found, expected: 4 })
             );
         }
     }

@@ -81,6 +81,31 @@ use crate::workload::{InitialPlacement, Workload};
 use ecocloud_rng::{Rng, SeedableRng, StdRng};
 use ecocloud_traces::units::frac_to_mhz;
 use ecocloud_traces::{TraceCursor, TraceSet, VmTrace};
+use std::ops::RangeInclusive;
+
+/// Pops the queue logs for parked monitor chains before the engine
+/// settles every parked chain and empties the log (96 KiB of marks).
+const POP_LOG_LIMIT: usize = 4096;
+
+/// A server's monitor chain: the 5 s ticks of §II's migration monitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MonitorChain {
+    /// The chain's next tick is in the event queue.
+    Scheduled,
+    /// The server is active and inside the policy's quiet band, where
+    /// every tick is silent, so no tick is queued. The silent ticks
+    /// are settled in closed form when the server leaves the band, and
+    /// `watermark` places the chain's next tick among events at the
+    /// same time (the queue's next event number when the chain's
+    /// anchor tick popped or was settled).
+    Parked {
+        /// The order watermark of the chain's next tick.
+        watermark: u64,
+    },
+    /// No tick is queued: the server is off, or the run ends before
+    /// the chain's next tick.
+    Stopped,
+}
 
 /// Outcome of a completed run.
 #[derive(Debug)]
@@ -136,12 +161,21 @@ pub struct Simulation<P: Policy> {
     demand_dirty: Vec<bool>,
     demand_dirty_ids: Vec<u32>,
     /// Per-server: time of the last monitor tick, the phase anchor a
-    /// parked monitor chain resumes from after a wake-up.
+    /// stopped or parked monitor chain resumes from. A parked chain's
+    /// anchor moves only when its silent ticks are settled.
     monitor_anchor: Vec<f64>,
-    /// Per-server: whether a MonitorTick is currently in the calendar.
-    /// Ticks stop while a server hibernates (they were no-ops) and
-    /// resume on wake.
-    monitor_scheduled: Vec<bool>,
+    /// Per-server monitor chain state. Ticks stop while a server is off
+    /// (they were no-ops) and resume on wake; they park while it is
+    /// quiet and re-arm when it is not.
+    monitor: Vec<MonitorChain>,
+    /// Servers whose chain is parked, unordered, and each parked
+    /// server's index in that list.
+    parked: Vec<u32>,
+    parked_slot: Vec<u32>,
+    /// The first quiet band the policy offered, which it must keep
+    /// offering unchanged for the rest of the run.
+    #[cfg(debug_assertions)]
+    offered_band: Option<RangeInclusive<f64>>,
     /// Dedicated fault RNG stream, created only when the fault schedule
     /// is enabled — a disabled schedule draws nothing and schedules
     /// nothing, keeping fault-free runs byte-identical.
@@ -215,8 +249,8 @@ impl<P: Policy> Simulation<P> {
     /// Validates the inputs and builds the engine as it stands at
     /// t = 0, with nothing scheduled: [`new`](Self::new) then queues
     /// the initial events, and [`restore_from`](Self::restore_from)
-    /// overwrites everything that schedule touches (the queue,
-    /// `monitor_scheduled`, the fault RNG's first draw) instead.
+    /// overwrites everything that schedule touches (the queue, the
+    /// monitor chains, the fault RNG's first draw) instead.
     fn unscheduled(fleet: Fleet, workload: Workload, config: SimConfig, policy: P) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid simulation config: {e}");
@@ -260,7 +294,11 @@ impl<P: Policy> Simulation<P> {
             demand_dirty: vec![false; n_servers],
             demand_dirty_ids: Vec::new(),
             monitor_anchor: vec![0.0; n_servers],
-            monitor_scheduled: vec![false; n_servers],
+            monitor: vec![MonitorChain::Stopped; n_servers],
+            parked: Vec::new(),
+            parked_slot: vec![0; n_servers],
+            #[cfg(debug_assertions)]
+            offered_band: None,
             fault_rng,
             wake_seq: vec![0; n_servers],
             wake_attempts: vec![0; n_servers],
@@ -289,7 +327,7 @@ impl<P: Policy> Simulation<P> {
                 let offset = self.config.monitor_interval_secs * (s + 1) as f64 / n as f64;
                 self.queue
                     .schedule(offset, Event::MonitorTick(ServerId(s as u32)));
-                self.monitor_scheduled[s] = true;
+                self.monitor[s] = MonitorChain::Scheduled;
             }
         }
         self.schedule_next_crash();
@@ -329,6 +367,46 @@ impl<P: Policy> Simulation<P> {
         self.now
     }
 
+    /// The state of server `sid`'s monitor chain.
+    pub fn monitor_chain(&self, sid: ServerId) -> MonitorChain {
+        self.monitor[sid.index()]
+    }
+
+    /// Events processed so far, counting the silent ticks that parked
+    /// monitor chains have passed but not yet settled: the number
+    /// [`stats`](Self::stats)`().events_processed` reaches once they
+    /// are, and the one a snapshot taken now stores.
+    pub fn events_processed(&self) -> u64 {
+        let unsettled: u64 = self
+            .parked
+            .iter()
+            .map(|&id| self.settle_of(id as usize).ticks)
+            .sum();
+        self.stats.events_processed + unsettled
+    }
+
+    /// The monitor chains and their anchors as they stand after the
+    /// last pop with every parked chain settled, and the silent ticks
+    /// that settling counts. This is what a snapshot stores, so its
+    /// bytes do not depend on when the live chains were last settled.
+    fn settled_chains(&self) -> (Vec<MonitorChain>, Vec<f64>, u64) {
+        let mut chains = self.monitor.clone();
+        let mut anchors = self.monitor_anchor.clone();
+        let mut ticks = 0;
+        for &id in &self.parked {
+            let i = id as usize;
+            let s = self.settle_of(i);
+            ticks += s.ticks;
+            anchors[i] = s.anchor;
+            chains[i] =
+                s.watermark
+                    .map_or(MonitorChain::Stopped, |watermark| MonitorChain::Parked {
+                        watermark,
+                    });
+        }
+        (chains, anchors, ticks)
+    }
+
     /// Serializes the complete deterministic state of this run into a
     /// [`Checkpoint`]. Everything mutable is captured — cluster, VM
     /// table, event calendar, every RNG stream, in-flight exchanges,
@@ -340,12 +418,13 @@ impl<P: Policy> Simulation<P> {
     /// validated against; `seq` is a caller-chosen monotonic sequence
     /// number (checkpoint N of this run).
     pub fn checkpoint(&self, spec: &str, seq: u64) -> Checkpoint<'static> {
+        let (chains, anchors, unsettled) = self.settled_chains();
         let mut ckpt = Checkpoint::new(spec, seq, self.now);
-        ckpt.encode_section("engine", |e| self.encode_engine(e));
+        ckpt.encode_section("engine", |e| self.encode_engine(e, &anchors));
         ckpt.encode_section("traces", |e| self.encode_traces(e));
         ckpt.encode_section("cluster", |e| self.cluster.encode(e));
         ckpt.encode_section("queue", |e| self.queue.encode(e));
-        ckpt.encode_section("stats", |e| self.stats.encode(e));
+        ckpt.encode_section("stats", |e| self.stats.encode(e, unsettled));
         ckpt.encode_section("control", |e| match &self.control {
             None => e.bool(false),
             Some(cp) => {
@@ -355,6 +434,20 @@ impl<P: Policy> Simulation<P> {
         });
         ckpt.encode_section("log", |e| self.log.encode(e));
         ckpt.encode_section("policy", |e| e.u64s(&self.policy.checkpoint_state()));
+        ckpt.encode_section("monitor", |e| {
+            e.usize(chains.len());
+            for c in &chains {
+                match *c {
+                    MonitorChain::Scheduled => e.u8(0),
+                    MonitorChain::Parked { watermark } => {
+                        e.u8(1);
+                        e.u64(watermark);
+                    }
+                    MonitorChain::Stopped => e.u8(2),
+                }
+            }
+            e.u64(self.stats.monitor_ticks_settled + unsettled);
+        });
         ckpt
     }
 
@@ -440,6 +533,13 @@ impl<P: Policy> Simulation<P> {
             .restore_state(&words)
             .map_err(CheckpointError::Corrupt)?;
 
+        // After the queue (watermarks are checked against its next
+        // number) and the policy (a parked server must be inside the
+        // band the restored policy offers).
+        let mut d = Dec::new(ckpt.section("monitor")?, "monitor");
+        sim.decode_monitor(&mut d)?;
+        d.finish()?;
+
         #[cfg(debug_assertions)]
         {
             let re = sim.checkpoint(spec, ckpt.seq);
@@ -457,8 +557,9 @@ impl<P: Policy> Simulation<P> {
     }
 
     /// Engine-private mutable state (everything not owned by a
-    /// dedicated subsystem codec).
-    fn encode_engine(&self, e: &mut Enc) {
+    /// dedicated subsystem codec), with the monitor anchors as settled
+    /// by [`settled_chains`](Self::settled_chains).
+    fn encode_engine(&self, e: &mut Enc, monitor_anchor: &[f64]) {
         e.f64(self.now);
         e.usize(self.alive_count);
         e.f64(self.last_pop_accrual);
@@ -469,11 +570,7 @@ impl<P: Policy> Simulation<P> {
         e.f64s(&self.overload_accrued_to);
         e.u32s(self.overload_active.as_slice());
         e.u32s(self.alive_vms.as_slice());
-        e.f64s(&self.monitor_anchor);
-        e.usize(self.monitor_scheduled.len());
-        for m in &self.monitor_scheduled {
-            e.bool(*m);
-        }
+        e.f64s(monitor_anchor);
         match &self.fault_rng {
             None => e.bool(false),
             Some(rng) => {
@@ -491,6 +588,10 @@ impl<P: Policy> Simulation<P> {
     fn decode_engine(&mut self, d: &mut Dec<'_>, ids: &IdBounds) -> Result<(), CheckpointError> {
         let n = self.cluster.n_servers();
         self.now = d.f64()?;
+        // Resuming a monitor chain walks from its anchor up to `now`.
+        if !(0.0..=self.config.duration_secs).contains(&self.now) {
+            return Err(d.corrupt(format_args!("clock {} lies outside the run", self.now)));
+        }
         self.alive_count = d.usize()?;
         self.last_pop_accrual = d.f64()?;
         let m = d.usize()?;
@@ -512,18 +613,6 @@ impl<P: Policy> Simulation<P> {
             .collect();
         self.alive_vms = d.ids("alive VM", ids.vms)?.into_iter().collect();
         self.monitor_anchor = expect_len(d.f64s()?, n, "monitor_anchor")?;
-        let m = d.usize()?;
-        if m != n {
-            return Err(CheckpointError::Corrupt(format!(
-                "monitor_scheduled has {m} entries for {n} servers"
-            )));
-        }
-        d.check_remaining(m, 1)?;
-        let mut monitor_scheduled = Vec::with_capacity(m);
-        for _ in 0..m {
-            monitor_scheduled.push(d.bool()?);
-        }
-        self.monitor_scheduled = monitor_scheduled;
         let snapshot_has_faults = d.bool()?;
         let fault_state = if snapshot_has_faults {
             Some(d.u64()?)
@@ -547,6 +636,53 @@ impl<P: Policy> Simulation<P> {
         }
         self.wake_seq = expect_len(d.u32s()?, n, "wake_seq")?;
         self.wake_attempts = expect_len(d.u32s()?, n, "wake_attempts")?;
+        Ok(())
+    }
+
+    /// Inverse of the `monitor` section [`checkpoint`](Self::checkpoint)
+    /// writes: one chain state per server, then the settled-tick count.
+    /// Every chain's anchor (from the `engine` section) must lie in the
+    /// run, since resuming or settling a chain walks from it. A parked
+    /// chain is stored settled, so its server must be quiet, its next
+    /// tick due between now and the end of the run, and its watermark
+    /// issued.
+    fn decode_monitor(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
+        let n = self.cluster.n_servers();
+        let end = self.config.duration_secs;
+        let m = d.usize()?;
+        if m != n {
+            return Err(d.corrupt(format_args!("{m} monitor chains for {n} servers")));
+        }
+        d.check_remaining(m, 1)?;
+        for i in 0..n {
+            let anchor = self.monitor_anchor[i];
+            if !(0.0..=end).contains(&anchor) {
+                return Err(d.corrupt(format_args!(
+                    "server {i}'s monitor anchor {anchor} lies outside the run"
+                )));
+            }
+            self.monitor[i] = match d.u8()? {
+                0 => MonitorChain::Scheduled,
+                1 => {
+                    let watermark = d.u64()?;
+                    let next = anchor + self.config.monitor_interval_secs;
+                    if watermark > self.queue.watermark()
+                        || !(self.now..=end).contains(&next)
+                        || !self.is_quiet(i)
+                    {
+                        return Err(d.corrupt(format_args!(
+                            "server {i}'s monitor chain is parked (watermark {watermark}, \
+                             next tick {next}) but cannot be"
+                        )));
+                    }
+                    self.park(i, watermark);
+                    continue;
+                }
+                2 => MonitorChain::Stopped,
+                other => return Err(d.corrupt(format_args!("unknown monitor chain tag {other}"))),
+            };
+        }
+        self.stats.monitor_ticks_settled = d.u64()?;
         Ok(())
     }
 
@@ -615,6 +751,9 @@ impl<P: Policy> Simulation<P> {
         self.queue.advance_to(t);
         self.stats.events_processed += 1;
         self.handle(event);
+        if self.queue.logged_pops() >= POP_LOG_LIMIT {
+            self.settle_parked_chains();
+        }
         Some(t)
     }
 
@@ -630,8 +769,22 @@ impl<P: Policy> Simulation<P> {
     /// the results.
     pub fn finish(mut self) -> SimResult {
         #[cfg(debug_assertions)]
-        self.queue.assert_pop_order_law();
+        {
+            self.queue.assert_pop_order_law();
+            self.assert_parked_chains_quiet();
+        }
         let end = self.config.duration_secs;
+        // Every silent tick of a parked chain up to the end of the run
+        // would have popped.
+        let interval = self.config.monitor_interval_secs;
+        for &id in &self.parked {
+            let mut next = self.monitor_anchor[id as usize] + interval;
+            while next <= end {
+                self.stats.events_processed += 1;
+                self.stats.monitor_ticks_settled += 1;
+                next += interval;
+            }
+        }
         self.now = end;
         self.queue.advance_to(end);
         self.drain_exchanges();
@@ -741,6 +894,11 @@ impl<P: Policy> Simulation<P> {
             self.stats.vms_preempted <= self.stats.vms_departed,
             "spot preemptions must be a subset of departures"
         );
+        // Every settled tick is one processed event.
+        debug_assert!(
+            self.stats.monitor_ticks_settled <= self.stats.events_processed,
+            "more settled monitor ticks than processed events"
+        );
         let policy_name = self.policy.name().to_string();
         let mut stats = self.stats;
         let summary = stats.summary();
@@ -810,8 +968,10 @@ impl<P: Policy> Simulation<P> {
     }
 
     /// Refreshes the overload flag of `sid` after a load mutation,
-    /// closing or opening an episode as needed.
+    /// closing or opening an episode as needed, and re-arms its parked
+    /// monitor chain if the mutation left it outside the quiet band.
     fn reconcile_overload(&mut self, sid: ServerId) {
+        self.rearm_if_loud(sid);
         let is = self.cluster.hot().is_overloaded(sid.index())
             && self.cluster.servers[sid.index()].is_active();
         match (self.overload_since[sid.index()], is) {
@@ -1039,6 +1199,8 @@ impl<P: Policy> Simulation<P> {
         }
         dirty.clear();
         self.demand_dirty_ids = dirty;
+        #[cfg(debug_assertions)]
+        self.assert_parked_chains_quiet();
         self.refresh_power();
         let next = self.now + step as f64;
         if next <= self.config.duration_secs {
@@ -1056,31 +1218,30 @@ impl<P: Policy> Simulation<P> {
         if !self.cluster.hot().is_powered(i) {
             // A hibernated server's ticks were pure no-ops that kept
             // rescheduling themselves — the dominant event volume in a
-            // consolidated fleet. Park the chain instead; `wake_server`
+            // consolidated fleet. Stop the chain instead; `wake_server`
             // restarts it in phase.
-            self.monitor_scheduled[i] = false;
+            self.monitor[i] = MonitorChain::Stopped;
             return;
         }
-        // Reschedule before running the policy so a panic in the policy
-        // cannot silently stop a server's monitor.
+        let quiet = self.is_quiet(i);
         let next = self.now + self.config.monitor_interval_secs;
-        if next <= self.config.duration_secs {
-            self.queue.schedule_monitor(next, Event::MonitorTick(sid));
-        } else {
-            self.monitor_scheduled[i] = false;
-        }
-        let hot = self.cluster.hot();
-        if !hot.is_active(i) {
+        if next > self.config.duration_secs {
+            self.monitor[i] = MonitorChain::Stopped;
+        } else if quiet {
+            // Inside the policy's quiet band `monitor` would return
+            // `None` without drawing or changing anything, and so would
+            // every later tick until the server leaves the band. Park
+            // the chain instead of queueing those ticks: this tick would
+            // have pushed the next one as its first act, so the queue's
+            // next number is where that tick orders.
+            self.park(i, self.queue.watermark());
             return;
+        } else {
+            // Reschedule before running the policy so a panic in the
+            // policy cannot silently stop a server's monitor.
+            self.queue.schedule_monitor(next, Event::MonitorTick(sid));
         }
-        // Inside the policy's quiet band `monitor` would return `None`
-        // without drawing or changing anything, so skip the call; the
-        // tick itself (anchor, reschedule, event count) already ran.
-        if self
-            .policy
-            .quiet_band(self.cluster.n_servers())
-            .is_some_and(|band| band.contains(&hot.utilization(i)))
-        {
+        if quiet || !self.cluster.hot().is_active(i) {
             return;
         }
         let Some(req) = self.policy.monitor(&self.cluster.view(), sid, self.now) else {
@@ -1271,14 +1432,14 @@ impl<P: Policy> Simulation<P> {
         self.resume_monitor(sid);
     }
 
-    /// Restarts a parked monitor chain after `sid` powered back on.
+    /// Restarts a stopped monitor chain after `sid` powered back on.
     /// The next tick is the first element of the original chain that
     /// lies strictly in the future, computed by the same repeated
     /// `+ interval` float additions the live chain performs — the
     /// resumed chain is therefore bit-identical to one that never
     /// stopped ticking.
     fn resume_monitor(&mut self, sid: ServerId) {
-        if !self.config.migrations_enabled || self.monitor_scheduled[sid.index()] {
+        if !self.config.migrations_enabled || self.monitor[sid.index()] != MonitorChain::Stopped {
             return;
         }
         let interval = self.config.monitor_interval_secs;
@@ -1288,7 +1449,131 @@ impl<P: Policy> Simulation<P> {
         }
         if next <= self.config.duration_secs {
             self.queue.schedule(next, Event::MonitorTick(sid));
-            self.monitor_scheduled[sid.index()] = true;
+            self.monitor[sid.index()] = MonitorChain::Scheduled;
+        }
+    }
+
+    /// The policy's quiet band. Debug builds check that, once offered,
+    /// it never changes: parked chains rely on the band they parked in.
+    fn quiet_band(&mut self) -> Option<RangeInclusive<f64>> {
+        let band = self.policy.quiet_band(self.cluster.n_servers());
+        #[cfg(debug_assertions)]
+        match (&self.offered_band, &band) {
+            (Some(first), _) => assert_eq!(
+                band.as_ref(),
+                Some(first),
+                "the policy's quiet band changed mid-run"
+            ),
+            (None, Some(_)) => self.offered_band.clone_from(&band),
+            (None, None) => {}
+        }
+        band
+    }
+
+    /// True when server `i` is active and its utilization lies in the
+    /// policy's quiet band, where its monitor ticks are silent.
+    fn is_quiet(&mut self, i: usize) -> bool {
+        self.cluster.hot().is_active(i)
+            && self
+                .quiet_band()
+                .is_some_and(|band| band.contains(&self.cluster.hot().utilization(i)))
+    }
+
+    /// Parks server `i`'s monitor chain with `watermark`, the order
+    /// watermark of its next tick.
+    fn park(&mut self, i: usize, watermark: u64) {
+        self.monitor[i] = MonitorChain::Parked { watermark };
+        self.parked_slot[i] = self.parked.len() as u32;
+        self.parked.push(i as u32);
+        if self.parked.len() == 1 {
+            self.queue.log_pops(true);
+        }
+    }
+
+    /// Takes server `i` out of the parked set, leaving its chain in
+    /// state `chain`.
+    fn unpark(&mut self, i: usize, chain: MonitorChain) {
+        let slot = self.parked_slot[i] as usize;
+        self.parked.swap_remove(slot);
+        if let Some(&moved) = self.parked.get(slot) {
+            self.parked_slot[moved as usize] = slot as u32;
+        }
+        self.monitor[i] = chain;
+        if self.parked.is_empty() {
+            self.queue.log_pops(false);
+        }
+    }
+
+    /// Server `i`'s parked chain settled up to the last pop, unchanged.
+    fn settle_of(&self, i: usize) -> crate::events::Settled {
+        let MonitorChain::Parked { watermark } = self.monitor[i] else {
+            unreachable!("server {i}'s monitor chain is not parked");
+        };
+        self.queue.settle_parked(
+            self.monitor_anchor[i],
+            watermark,
+            self.config.monitor_interval_secs,
+            self.config.duration_secs,
+        )
+    }
+
+    /// Settles server `i`'s parked chain up to the last pop: counts the
+    /// silent ticks it passed and moves its anchor to the last of them.
+    /// Returns the watermark of its next tick, or `None` (and stops the
+    /// chain) when the run ends before that tick.
+    fn settle_chain(&mut self, i: usize) -> Option<u64> {
+        let s = self.settle_of(i);
+        self.stats.events_processed += s.ticks;
+        self.stats.monitor_ticks_settled += s.ticks;
+        self.monitor_anchor[i] = s.anchor;
+        match s.watermark {
+            Some(watermark) => self.monitor[i] = MonitorChain::Parked { watermark },
+            None => self.unpark(i, MonitorChain::Stopped),
+        }
+        s.watermark
+    }
+
+    /// Settles every parked chain up to the last pop, after which the
+    /// queue's pop log can be emptied: this bounds the log.
+    fn settle_parked_chains(&mut self) {
+        // Backwards, so a chain that stops swaps in one already settled.
+        for k in (0..self.parked.len()).rev() {
+            self.settle_chain(self.parked[k] as usize);
+        }
+        self.queue.forget_pops();
+    }
+
+    /// Re-arms `sid`'s parked monitor chain once the server is no
+    /// longer quiet: it left `Active`, or its utilization left the
+    /// band. The silent ticks that popped before the current event are
+    /// settled, and the chain's next tick is queued at the time and in
+    /// the order the unparked chain has it — at the current time if it
+    /// had not popped yet.
+    fn rearm_if_loud(&mut self, sid: ServerId) {
+        let i = sid.index();
+        if !matches!(self.monitor[i], MonitorChain::Parked { .. }) || self.is_quiet(i) {
+            return;
+        }
+        if let Some(watermark) = self.settle_chain(i) {
+            let next = self.monitor_anchor[i] + self.config.monitor_interval_secs;
+            self.queue.schedule_rearmed(next, watermark, sid);
+            self.unpark(i, MonitorChain::Scheduled);
+        }
+    }
+
+    /// The parked-chain law: every parked chain's server is active and
+    /// inside the quiet band. A load or power change that skipped
+    /// [`rearm_if_loud`](Self::rearm_if_loud) breaks it.
+    #[cfg(debug_assertions)]
+    fn assert_parked_chains_quiet(&mut self) {
+        for k in 0..self.parked.len() {
+            let i = self.parked[k] as usize;
+            assert!(
+                self.is_quiet(i),
+                "server {i}'s monitor chain is parked, but the server is {:?} at u = {}",
+                self.cluster.servers[i].state,
+                self.cluster.hot().utilization(i)
+            );
         }
     }
 
@@ -2045,6 +2330,7 @@ impl<P: Policy> Simulation<P> {
         };
         if self.now - empty_since + 1e-9 >= self.config.idle_timeout_secs {
             self.cluster.set_server_state(sid, ServerState::Hibernated);
+            self.rearm_if_loud(sid);
             self.cluster.servers[sid.index()].empty_since_secs = None;
             self.stats.hibernations.record(self.now);
             self.log.push(SimEvent::ServerHibernated {
@@ -2066,7 +2352,10 @@ impl<P: Policy> Simulation<P> {
         // cached loads vs per-VM demands, host back-pointers,
         // reservation signs.
         #[cfg(debug_assertions)]
-        self.cluster.check_invariants();
+        {
+            self.cluster.check_invariants();
+            self.assert_parked_chains_quiet();
+        }
         self.accrue_population();
         self.accrue_active_overloads();
         // This path is already O(fleet) (RAM sweep below); re-anchor the
@@ -3085,6 +3374,99 @@ mod tests {
         ];
         for (what, bytes) in cases {
             match restore(bytes) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// [`FirstFit`] with a quiet band over every utilization: its
+    /// `monitor` is the trait default, which never migrates, so the
+    /// band keeps its promise and every active server's chain parks.
+    struct QuietFirstFit;
+
+    impl Policy for QuietFirstFit {
+        fn name(&self) -> &'static str {
+            "quiet-first-fit-test"
+        }
+        fn place(&mut self, view: &ClusterView<'_>, req: &PlacementRequest) -> PlaceOutcome {
+            FirstFit.place(view, req)
+        }
+        fn quiet_band(&self, _n_servers: usize) -> Option<RangeInclusive<f64>> {
+            Some(0.0..=1.0)
+        }
+    }
+
+    /// A snapshot whose monitor chains contradict the rest of the state
+    /// is refused with `Corrupt`: a parked chain whose server is off,
+    /// whose watermark was never issued, or whose next tick lies past
+    /// the end of the run, and an anchor or clock outside the run.
+    /// Settling or resuming such a chain would walk from a bad anchor
+    /// to a bad clock (a near-endless loop) or re-arm a tick out of
+    /// order. Each case edits a running engine and snapshots it.
+    #[test]
+    fn hostile_monitor_chains_are_refused() {
+        type Edit = fn(&mut Simulation<QuietFirstFit>);
+        let restore = |edit: Edit| {
+            let make = || {
+                (
+                    Fleet::uniform(6, 6),
+                    Workload::all_vms_from_start(small_traces(4)),
+                    quick_config(),
+                )
+            };
+            let (fleet, workload, config) = make();
+            let mut sim = Simulation::new(fleet, workload, config, QuietFirstFit);
+            while sim.now() < 3600.0 && sim.step().is_some() {}
+            assert!(!sim.parked.is_empty() && sim.parked.len() < 6);
+            edit(&mut sim);
+            let ckpt = sim.checkpoint("t", 0);
+            let (fleet, workload, config) = make();
+            Simulation::restore_from(fleet, workload, config, QuietFirstFit, &ckpt, "t").map(|_| ())
+        };
+        assert_eq!(restore(|_| {}), Ok(()));
+        fn off(sim: &Simulation<QuietFirstFit>) -> usize {
+            (0..6)
+                .find(|&i| !sim.cluster.hot().is_powered(i))
+                .expect("a server is off")
+        }
+        let cases: [(&str, Edit); 7] = [
+            ("parked while off", |sim| {
+                let i = off(sim);
+                sim.monitor[i] = MonitorChain::Parked { watermark: 0 };
+            }),
+            ("watermark not issued", |sim| {
+                let i = sim.parked[0] as usize;
+                sim.monitor[i] = MonitorChain::Parked {
+                    watermark: sim.queue.watermark() + 1,
+                };
+                sim.unpark(i, sim.monitor[i]);
+            }),
+            ("parked past the end", |sim| {
+                let i = off(sim);
+                sim.cluster
+                    .set_server_state(ServerId(i as u32), ServerState::Active);
+                sim.monitor_anchor[i] = sim.config.duration_secs;
+                sim.monitor[i] = MonitorChain::Parked { watermark: 0 };
+            }),
+            // On a stopped chain: the live engine settles its parked
+            // ones from their anchors before encoding them.
+            ("NaN anchor", |sim| {
+                let i = off(sim);
+                sim.monitor_anchor[i] = f64::NAN;
+            }),
+            ("anchor before the run", |sim| {
+                let i = off(sim);
+                sim.monitor_anchor[i] = -1e300;
+            }),
+            ("anchor after the run", |sim| {
+                let i = off(sim);
+                sim.monitor_anchor[i] = sim.config.duration_secs * 2.0;
+            }),
+            ("clock after the run", |sim| sim.now = 1e300),
+        ];
+        for (what, edit) in cases {
+            match restore(edit) {
                 Err(CheckpointError::Corrupt(_)) => {}
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }

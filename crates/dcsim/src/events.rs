@@ -21,6 +21,14 @@
 //! simultaneous events fire in insertion order, which — together with
 //! seeded RNGs — makes every run exactly reproducible.
 //!
+//! A chain whose tick finds its server quiet is not pushed at all: the
+//! engine parks it, and re-arms it when the server leaves its quiet
+//! band. [`EventQueue::schedule_rearmed`] files the re-armed tick with
+//! an order key between two sequence numbers, where the unparked tick
+//! would have popped, and while chains are parked the queue logs each
+//! pop's number so [`EventQueue::settle_parked`] can place the silent
+//! ticks it counts in closed form (`DESIGN.md` §14).
+//!
 //! Pop order is *identical* to the plain binary heap this replaced:
 //! each calendar pop selects the `(time, seq)` minimum of the cursor
 //! bucket (the same total order the heap used), bucket membership
@@ -195,7 +203,13 @@ impl Event {
     }
 }
 
-/// A scheduled event.
+/// A scheduled event. `seq` is its order key among events at the same
+/// time: `2n + 1` for the event the queue numbered `n` when it was
+/// pushed, and `2w` for a re-armed monitor tick whose chain stood at
+/// the queue's watermark `w` ([`EventQueue::schedule_rearmed`]). A
+/// re-armed tick thus orders after every event numbered below `w` and
+/// before every event numbered `w` or later, where its chain's unparked
+/// tick would have been.
 #[derive(Debug, Clone, Copy)]
 struct Scheduled {
     t_secs: f64,
@@ -741,16 +755,47 @@ pub struct EventQueue {
     /// means "not known", and the next pop that needs it peeks.
     cal_min: Option<Scheduled>,
     len: usize,
+    /// The number the next pushed event gets (its key is
+    /// `2 * next_seq + 1`).
     next_seq: u64,
     /// Current simulation time as reported by the driving engine via
     /// [`advance_to`](Self::advance_to); scheduling earlier than this
     /// is rejected in debug builds.
     now_floor: f64,
-    /// The last event popped, for the pop-order law (see
-    /// [`pop`](Self::pop) and
+    /// The last event popped: the point in pop order up to which
+    /// [`settle_parked`](Self::settle_parked) counts a parked chain's
+    /// silent ticks, and the pop half of the pop-order law (see
     /// [`assert_pop_order_law`](Self::assert_pop_order_law)).
-    #[cfg(debug_assertions)]
     last_pop: Option<Scheduled>,
+    /// While `logging`, one [`PopMark`] per pop since the parked chains
+    /// were last settled, in pop order.
+    pop_log: Vec<PopMark>,
+    logging: bool,
+}
+
+/// One logged pop: its `(time, key)` and the queue's `next_seq` when it
+/// popped. A monitor tick that pops just before it would have pushed
+/// its successor with that number, so it is the watermark the tick
+/// leaves.
+#[derive(Debug, Clone, Copy)]
+struct PopMark {
+    t_secs: f64,
+    seq: u64,
+    next_seq: u64,
+}
+
+/// A parked monitor chain settled up to the last pop
+/// ([`EventQueue::settle_parked`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Settled {
+    /// Silent ticks that popped, in the unparked run, since the chain
+    /// was parked or last settled.
+    pub ticks: u64,
+    /// The time of the chain's last tick, popped or settled.
+    pub anchor: f64,
+    /// The watermark of the chain's next tick, `anchor + interval`, or
+    /// `None` when that tick lies past the end of the run.
+    pub watermark: Option<u64>,
 }
 
 impl Default for EventQueue {
@@ -785,8 +830,9 @@ impl EventQueue {
             len: 0,
             next_seq: 0,
             now_floor: 0.0,
-            #[cfg(debug_assertions)]
             last_pop: None,
+            pop_log: Vec::new(),
+            logging: false,
         }
     }
 
@@ -801,7 +847,7 @@ impl EventQueue {
     /// sequence, so `(time, seq)` stays a single total order.
     #[inline]
     fn stamp(&mut self, t_secs: f64, event: Event) -> Scheduled {
-        let seq = self.next_seq;
+        let seq = 2 * self.next_seq + 1;
         self.next_seq += 1;
         self.len += 1;
         Scheduled { t_secs, seq, event }
@@ -892,6 +938,32 @@ impl EventQueue {
         }
     }
 
+    /// Files `server`'s re-armed monitor tick at `t_secs` with the
+    /// order key `2 * watermark`: it pops after every event numbered
+    /// below `watermark` and before every event numbered `watermark` or
+    /// later. Draws no number, because the unparked tick it stands for
+    /// was numbered when its chain's previous tick popped. Goes to the
+    /// calendar, since its key may order before the lane's back.
+    pub(crate) fn schedule_rearmed(&mut self, t_secs: f64, watermark: u64, server: ServerId) {
+        debug_assert!(
+            watermark <= self.next_seq,
+            "watermark {watermark} not issued yet"
+        );
+        let s = Scheduled {
+            t_secs,
+            seq: 2 * watermark,
+            event: Event::MonitorTick(server),
+        };
+        debug_assert!(
+            t_secs >= self.now_floor && self.last_pop.is_none_or(|last| earlier(&last, &s)),
+            "re-armed tick {s:?} is not after the last pop {:?}",
+            self.last_pop
+        );
+        self.len += 1;
+        self.push_calendar(s);
+        self.cal.grow_if_loaded();
+    }
+
     /// Removes and returns the earliest event as `(time, event)`: the
     /// lane's front or the calendar's minimum, whichever is first by
     /// `(time, seq)`.
@@ -924,11 +996,132 @@ impl EventQueue {
         self.cal.popped = true;
         self.len -= 1;
         #[cfg(debug_assertions)]
-        {
-            self.assert_after_last_pop(&s);
-            self.last_pop = Some(s);
+        self.assert_after_last_pop(&s);
+        self.last_pop = Some(s);
+        if self.logging {
+            self.pop_log.push(PopMark {
+                t_secs: s.t_secs,
+                seq: s.seq,
+                next_seq: self.next_seq,
+            });
         }
         Some((s.t_secs, s.event))
+    }
+
+    /// Starts or stops the pop log that parked monitor chains settle
+    /// from. Stopping drops what it holds.
+    pub(crate) fn log_pops(&mut self, on: bool) {
+        self.logging = on;
+        if !on {
+            self.pop_log = Vec::new();
+        }
+    }
+
+    /// Pops logged since the last [`forget_pops`](Self::forget_pops).
+    pub(crate) fn logged_pops(&self) -> usize {
+        self.pop_log.len()
+    }
+
+    /// Empties the pop log once every parked chain has been settled up
+    /// to the last pop: later settles only look at later pops.
+    pub(crate) fn forget_pops(&mut self) {
+        self.pop_log.clear();
+    }
+
+    /// The next event number, which a chain parked now keeps as its
+    /// watermark: it is the number its next tick would have drawn.
+    pub(crate) fn watermark(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Settles a monitor chain that a tick at `anchor` parked with
+    /// `watermark`, without changing it: counts the chain's silent
+    /// ticks (at `anchor + interval`, then by repeated `+ interval`, up
+    /// to `end`) that the unparked run pops before the last popped
+    /// event, and returns where the chain then stands.
+    ///
+    /// Ticks before the last pop's time all popped before it. A tick at
+    /// exactly that time popped before it if the tick's key, `2w` for
+    /// its watermark `w`, is the smaller, and `w` is the `next_seq` of
+    /// the first pop after the chain's previous tick, which the pop log
+    /// records ([`watermark_after`](Self::watermark_after)). A chain
+    /// restored from a snapshot is stored settled up to that
+    /// snapshot's last pop, so before the first pop after a restore
+    /// there is nothing to settle.
+    pub(crate) fn settle_parked(
+        &self,
+        anchor: f64,
+        watermark: u64,
+        interval: f64,
+        end: f64,
+    ) -> Settled {
+        let mut settled = Settled {
+            ticks: 0,
+            anchor,
+            watermark: Some(watermark),
+        };
+        let mut next = anchor + interval;
+        if next > end {
+            settled.watermark = None;
+            return settled;
+        }
+        let Some(last) = self.last_pop else {
+            return settled;
+        };
+        while next < last.t_secs && next <= end {
+            settled.anchor = next;
+            next += interval;
+            settled.ticks += 1;
+        }
+        if next > end {
+            settled.watermark = None;
+            return settled;
+        }
+        let tick_time = |j: u64| (0..j).fold(anchor + interval, |t, _| t + interval);
+        let mut w = match settled.ticks {
+            0 => watermark,
+            n => self.watermark_after(n - 1, settled.anchor, watermark, &tick_time),
+        };
+        if next == last.t_secs && 2 * w < last.seq {
+            w = self.watermark_after(settled.ticks, next, watermark, &tick_time);
+            settled.anchor = next;
+            next += interval;
+            settled.ticks += 1;
+        }
+        settled.watermark = (next <= end).then_some(w);
+        settled
+    }
+
+    /// The watermark that tick `j` of a parked chain leaves: the
+    /// `next_seq` of the first logged pop after the tick, at `t_j` with
+    /// key `2 w_j`. Tick 0's watermark `w_0` is the chain's; a later
+    /// tick's is what its predecessor left, which lies between the
+    /// `next_seq` at the first pop at or after the predecessor's time
+    /// and at the first pop after it. Only pops at `t_j` that were
+    /// pushed at the predecessor's very time fall inside that range, so
+    /// the search recurses to the predecessor only when one of them
+    /// exists and the bounds disagree about it. `tick_time(j)`
+    /// recomputes `t_j` by the chain's own additions.
+    fn watermark_after(&self, j: u64, t_j: f64, w0: u64, tick_time: &dyn Fn(u64) -> f64) -> u64 {
+        let log = &self.pop_log;
+        let mark_at = |i: usize| log.get(i).map_or(self.next_seq, |m| m.next_seq);
+        let a = log.partition_point(|m| m.t_secs < t_j);
+        let b = a + log[a..].partition_point(|m| m.t_secs == t_j);
+        let after = |w: u64| a + log[a..b].partition_point(|m| m.seq < 2 * w);
+        let i = if a == b {
+            a
+        } else if j == 0 {
+            after(w0)
+        } else {
+            let t_prev = tick_time(j - 1);
+            let lo = mark_at(log.partition_point(|m| m.t_secs < t_prev));
+            let hi = mark_at(log.partition_point(|m| m.t_secs <= t_prev));
+            match (after(lo), after(hi)) {
+                (i_lo, i_hi) if i_lo == i_hi => i_lo,
+                _ => after(self.watermark_after(j - 1, t_prev, w0, tick_time)),
+            }
+        };
+        mark_at(i)
     }
 
     #[cfg(debug_assertions)]
@@ -1027,8 +1220,8 @@ impl EventQueue {
     /// restored chains tick) are invisible.
     fn restore_entry(&mut self, t_secs: f64, seq: u64, event: Event) {
         debug_assert!(
-            seq < self.next_seq,
-            "entry seq {seq} >= next_seq {}",
+            seq <= 2 * self.next_seq,
+            "entry key {seq} was not issued before next_seq {}",
             self.next_seq
         );
         self.cal.insert(Scheduled { t_secs, seq, event });
@@ -1069,8 +1262,9 @@ impl EventQueue {
     }
 
     /// Checkpoint decoding, inverse of [`encode`](Self::encode); each
-    /// event's ids are checked against `ids`, and each sequence number
-    /// against the queue's next one.
+    /// event's ids are checked against `ids`, and each order key against
+    /// the queue's next number: an odd key `2n + 1` needs `n` below it,
+    /// an even key `2w` (a re-armed monitor tick) needs `w` at most it.
     pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
         let reserved = d.u8()?;
         if reserved != 0 {
@@ -1087,12 +1281,17 @@ impl EventQueue {
         for _ in 0..n {
             let t = d.f64()?;
             let seq = d.u64()?;
-            if seq >= next_seq {
+            if seq / 2 > next_seq || seq / 2 == next_seq && seq % 2 == 1 {
                 return Err(d.corrupt(format_args!(
-                    "event seq {seq} is not below the next seq {next_seq}"
+                    "event key {seq} was not issued before the next seq {next_seq}"
                 )));
             }
             let event = Event::decode(d, ids)?;
+            if seq % 2 == 0 && !matches!(event, Event::MonitorTick(_)) {
+                return Err(d.corrupt(format_args!(
+                    "event key {seq} is a re-armed tick's, but the event is {event:?}"
+                )));
+            }
             q.restore_entry(t, seq, event);
         }
         Ok(q)
@@ -1103,7 +1302,7 @@ impl EventQueue {
     /// queue bug that stores an event behind the cursor.
     #[cfg(all(test, debug_assertions))]
     pub(crate) fn insert_unchecked(&mut self, t_secs: f64, event: Event) {
-        let seq = self.next_seq;
+        let seq = 2 * self.next_seq + 1;
         self.next_seq += 1;
         self.len += 1;
         self.cal.insert(Scheduled { t_secs, seq, event });
@@ -1839,6 +2038,104 @@ mod tests {
         assert!(ties >= 20, "only {ties} tick/sweep ties");
         #[cfg(debug_assertions)]
         q.assert_pop_order_law();
+    }
+
+    /// A parked chain settles exactly the ticks a live chain pops, and
+    /// a re-armed tick pops where the live chain's tick does. Two queues
+    /// get the same traffic: in one a monitor chain ticks every 5 s, in
+    /// the other it is parked (the pop log on), re-armed, ticked and
+    /// parked again at random. Every time is a whole second and the
+    /// traffic pushes with delays of 0, 1, 5, 10 and 15 s, so events tie
+    /// with ticks at every kind of push point: before the tick's
+    /// predecessor popped, after it at the predecessor's time (the
+    /// recursive case), and at the tick's own time after the tick.
+    #[test]
+    fn parked_chain_settles_and_rearms_like_a_live_chain() {
+        let (interval, end) = (5.0, 3000.0);
+        let tick = Event::MonitorTick(ServerId(0));
+        let mut settled = 0;
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut live, mut parked) = (EventQueue::new(), EventQueue::new());
+            let mut next_id = 0u32;
+            let mut push =
+                |rng: &mut StdRng, live: &mut EventQueue, parked: &mut EventQueue, t: f64| {
+                    let delay = [0.0, 1.0, 5.0, 5.0, 10.0, 15.0][rng.gen_range(0..6usize)];
+                    let e = Event::HibernateCheck(ServerId(next_id));
+                    next_id += 1;
+                    live.schedule(t + delay, e);
+                    parked.schedule(t + delay, e);
+                };
+            for _ in 0..6 {
+                let t = rng.gen_range(0..20u32) as f64;
+                push(&mut rng, &mut live, &mut parked, t);
+            }
+            // Parked after a tick at 0, as if that tick had popped now.
+            live.schedule(interval, tick);
+            let (mut anchor, mut watermark) = (0.0, parked.watermark());
+            let mut is_parked = true;
+            parked.log_pops(true);
+            let mut live_ticks = 0u64;
+            while let Some((t, e)) = parked.pop() {
+                if t > end {
+                    break;
+                }
+                parked.advance_to(t);
+                if e == tick {
+                    assert!(!is_parked);
+                    assert_eq!(live.pop(), Some((t, e)), "seed {seed}: tick at {t}");
+                    live.advance_to(t);
+                    live.schedule_monitor(t + interval, tick);
+                    if rng.gen_bool(0.5) {
+                        (anchor, watermark, is_parked, live_ticks) =
+                            (t, parked.watermark(), true, 0);
+                    } else {
+                        parked.schedule_monitor(t + interval, tick);
+                    }
+                    continue;
+                }
+                loop {
+                    let (lt, le) = live.pop().expect("the live queue holds the same traffic");
+                    live.advance_to(lt);
+                    if le != tick {
+                        assert_eq!((lt, le), (t, e), "seed {seed}");
+                        break;
+                    }
+                    assert!(
+                        is_parked,
+                        "seed {seed}: live tick at {lt} before {e:?} at {t}"
+                    );
+                    live_ticks += 1;
+                    live.schedule_monitor(lt + interval, tick);
+                }
+                if is_parked {
+                    let s = parked.settle_parked(anchor, watermark, interval, end);
+                    assert_eq!(s.ticks, live_ticks, "seed {seed}: at {e:?}, t = {t}");
+                    let Some(w) = s.watermark else {
+                        break; // the chain's next tick lies past the end
+                    };
+                    if rng.gen_bool(0.1) {
+                        parked.schedule_rearmed(s.anchor + interval, w, ServerId(0));
+                        is_parked = false;
+                        settled += live_ticks;
+                    } else if rng.gen_bool(0.2) {
+                        // Settle for good and forget the log, as the
+                        // engine does when the log fills up.
+                        (anchor, watermark) = (s.anchor, w);
+                        settled += s.ticks;
+                        live_ticks -= s.ticks;
+                        parked.forget_pops();
+                    }
+                }
+                // One push per pop keeps the traffic going; now and
+                // then one more or none.
+                let n = 1 + u32::from(rng.gen_bool(0.05)) - u32::from(rng.gen_bool(0.05));
+                for _ in 0..n {
+                    push(&mut rng, &mut live, &mut parked, t);
+                }
+            }
+        }
+        assert!(settled > 2_000, "only {settled} ticks settled");
     }
 
     /// A monitor push before the lane's last entry cannot join the

@@ -49,7 +49,7 @@ pub mod workload;
 pub use checkpoint::{Checkpoint, CheckpointError, CRATE_VERSION};
 pub use cluster::{Cluster, ClusterView, HotFleet, ServerRef};
 pub use config::{ConfigError, ControlPlaneConfig, FaultConfig, SimConfig};
-pub use engine::{SimResult, Simulation};
+pub use engine::{MonitorChain, SimResult, Simulation};
 pub use fleet::Fleet;
 pub use ids::{ServerId, VmId};
 pub use idset::SortedIdSet;

@@ -75,10 +75,18 @@ pub struct SimStats {
     /// Spot-class VMs evicted by the consolidation policy under
     /// capacity pressure (subset of `vms_departed`).
     pub vms_preempted: u64,
-    /// Events popped from the calendar over the whole run — the raw
-    /// work count behind wall-clock comparisons (absent in results
-    /// serialized before this field existed).
-    pub events_processed: u64, // detlint: unchecked-counter — what holds: incremented exactly once per calendar pop, so it equals the dispatch-loop iteration count by construction; a law would restate the loop
+    /// Model events processed over the whole run: every event popped
+    /// from the queue, plus every silent monitor tick a parked chain
+    /// settled in closed form (`monitor_ticks_settled`) — the pops of
+    /// an engine that never parks, and the raw work count behind
+    /// wall-clock comparisons (absent in results serialized before
+    /// this field existed).
+    pub events_processed: u64, // detlint: unchecked-counter — what holds: incremented once per queue pop and once per settled silent tick, so it equals a never-parking engine's pop count by construction (tests/quiet_band.rs checks it against one); a law would restate the loop
+    /// Silent monitor ticks that parked chains settled in closed form
+    /// instead of popping: a subset of `events_processed`, conserved
+    /// in `finish()` as `monitor_ticks_settled <= events_processed`.
+    /// Kept out of [`SimSummary`], so no output byte depends on it.
+    pub monitor_ticks_settled: u64,
     /// Control plane: invitations broadcast to individual servers.
     pub invitations_sent: u64,
     /// Control plane: acceptances received within the collection
@@ -173,6 +181,7 @@ impl SimStats {
             vms_departed: 0,
             vms_preempted: 0,
             events_processed: 0,
+            monitor_ticks_settled: 0,
             invitations_sent: 0,
             invite_accepts: 0,
             invite_declines: 0,
@@ -337,8 +346,12 @@ impl SimStats {
     /// Checkpoint encoding. Every collector is captured through its
     /// raw-parts view (including the in-progress window accumulators
     /// and the CDFs' sortedness flags) so a restored run re-snapshots
-    /// to the exact same bytes.
-    pub(crate) fn encode(&self, e: &mut Enc) {
+    /// to the exact same bytes. `unsettled_ticks` silent monitor ticks,
+    /// passed by parked chains but not yet settled, are counted in
+    /// `events_processed` as the run will count them.
+    /// `monitor_ticks_settled` belongs to the engine's `monitor`
+    /// section, which a never-parking run's snapshot differs in anyway.
+    pub(crate) fn encode(&self, e: &mut Enc, unsettled_ticks: u64) {
         encode_series(&self.overall_load, e);
         encode_series(&self.active_servers, e);
         encode_series(&self.power_w, e);
@@ -379,7 +392,7 @@ impl SimStats {
             self.vms_arrived,
             self.vms_departed,
             self.vms_preempted,
-            self.events_processed,
+            self.events_processed + unsettled_ticks,
             self.invitations_sent,
             self.invite_accepts,
             self.invite_declines,
@@ -471,6 +484,7 @@ impl SimStats {
             vms_departed: counters[12],
             vms_preempted: counters[13],
             events_processed: counters[14],
+            monitor_ticks_settled: 0,
             invitations_sent: counters[15],
             invite_accepts: counters[16],
             invite_declines: counters[17],
