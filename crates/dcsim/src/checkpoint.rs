@@ -4,12 +4,16 @@
 //! *entire* deterministic state of a [`crate::Simulation`] — cluster
 //! SoA vectors, VM table, the calendar queue, every seeded RNG stream,
 //! in-flight control-plane exchanges, fault schedules, statistics and
-//! streaming series. Because the engine is a pure function of
-//! `(Fleet, Workload, SimConfig, policy seed)` and all of its mutable
-//! state, restoring a snapshot and continuing produces **byte-identical**
-//! results to the uninterrupted run; `Simulation::restore_from`
-//! debug-asserts this with a round-trip oracle (re-snapshot the
-//! restored engine, diff every section).
+//! streaming series. Only primary state is stored: what the rest of
+//! the snapshot or the scenario determines (queued arrivals, the alive
+//! set, VM hosts, reservation counts, scheduled monitor chains, clock
+//! copies, per-server counts) the decoders rebuild, so a snapshot has
+//! no copy that could contradict its source. Because the engine is a
+//! pure function of `(Fleet, Workload, SimConfig, policy seed)` and
+//! all of its mutable state, restoring a snapshot and continuing
+//! produces **byte-identical** results to the uninterrupted run;
+//! `Simulation::restore_from` debug-asserts this with a round-trip
+//! oracle (re-snapshot the restored engine, diff every section).
 //!
 //! # File format
 //!
@@ -59,7 +63,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"ECOCKPT1";
 
 /// Bumped whenever the byte layout of any section changes.
-const FORMAT_VERSION: u32 = 4;
+const FORMAT_VERSION: u32 = 5;
 
 /// Version of the code that wrote a snapshot. Restoring across crate
 /// versions is refused: state layout is an internal detail and the
@@ -272,8 +276,8 @@ impl Enc {
     }
 }
 
-/// Sizes of the scenario a snapshot is restored into. Every server,
-/// VM and spawn id a section carries must index one of these, and the
+/// Sizes of the scenario a snapshot is restored into. Every server
+/// and VM id a section carries must index one of these, and the
 /// decoders check each one as they read it ([`Dec::id`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdBounds {
@@ -281,8 +285,6 @@ pub(crate) struct IdBounds {
     pub servers: usize,
     /// VMs in the restored VM table.
     pub vms: usize,
-    /// Entries in the workload's spawn list.
-    pub spawns: usize,
 }
 
 /// Byte decoder matching [`Enc`]. Every read is bounds-checked; running
@@ -391,6 +393,12 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
         let n = self.usize()?;
+        self.f64s_of(n)
+    }
+
+    /// `n` `f64`s written without their count, which the scenario
+    /// fixes (one per server, say).
+    pub(crate) fn f64s_of(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
         let words = self.chunks::<8>(n)?;
         Ok(words
             .iter()
@@ -409,6 +417,11 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
         let n = self.usize()?;
+        self.u32s_of(n)
+    }
+
+    /// `n` `u32`s written without their count ([`f64s_of`](Self::f64s_of)).
+    pub(crate) fn u32s_of(&mut self, n: usize) -> Result<Vec<u32>, CheckpointError> {
         Ok(self
             .chunks::<4>(n)?
             .iter()
@@ -918,16 +931,18 @@ mod tests {
     /// checksum to a word-wise sum, so a format-2 trailer does not
     /// verify; format 4 replaced the engine's per-server "tick queued"
     /// flags with the `monitor` section's chain states and re-keyed the
-    /// queue for re-armed ticks. All three must be refused by the
-    /// version gate, not decoded.
+    /// queue for re-armed ticks; format 5 stopped storing what the
+    /// decoders rebuild (queued spawns, the alive set, VM hosts,
+    /// reservation counts, scheduled chains, clock copies). All four
+    /// must be refused by the version gate, not decoded.
     #[test]
     fn format_1_snapshots_are_refused() {
-        assert_eq!(FORMAT_VERSION, 4);
-        for found in [1, 2, 3] {
+        assert_eq!(FORMAT_VERSION, 5);
+        for found in [1, 2, 3, 4] {
             let bytes = with_version(sample().to_bytes(), found);
             assert_eq!(
                 Checkpoint::from_bytes(&bytes, "mem"),
-                Err(CheckpointError::FormatVersionMismatch { found, expected: 4 })
+                Err(CheckpointError::FormatVersionMismatch { found, expected: 5 })
             );
         }
     }

@@ -209,15 +209,13 @@ fn decode_server_state(d: &mut Dec<'_>) -> Result<ServerState, CheckpointError> 
     })
 }
 
+/// A VM state without its host or migration source, which is the
+/// server whose list holds the VM.
 fn encode_vm_state(state: VmState, e: &mut Enc) {
     match state {
-        VmState::Hosted { host } => {
-            e.u8(0);
-            e.u32(host.0);
-        }
-        VmState::Migrating { from, to } => {
+        VmState::Hosted { .. } => e.u8(0),
+        VmState::Migrating { to, .. } => {
             e.u8(1);
-            e.u32(from.0);
             e.u32(to.0);
         }
         VmState::Departed => e.u8(2),
@@ -225,18 +223,31 @@ fn encode_vm_state(state: VmState, e: &mut Enc) {
     }
 }
 
-fn decode_vm_state(d: &mut Dec<'_>, n_servers: usize) -> Result<VmState, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => VmState::Hosted {
-            host: ServerId(d.id("VM host", n_servers)?),
-        },
-        1 => VmState::Migrating {
-            from: ServerId(d.id("VM migration source", n_servers)?),
+/// Inverse of [`encode_vm_state`] for VM `id`, held by the list of
+/// `lister`; a VM must be listed exactly when it is alive.
+fn decode_vm_state(
+    d: &mut Dec<'_>,
+    id: VmId,
+    lister: Option<ServerId>,
+    n_servers: usize,
+) -> Result<VmState, CheckpointError> {
+    Ok(match (d.u8()?, lister) {
+        (0, Some(host)) => VmState::Hosted { host },
+        (1, Some(from)) => VmState::Migrating {
+            from,
             to: ServerId(d.id("VM migration destination", n_servers)?),
         },
-        2 => VmState::Departed,
-        3 => VmState::Dropped,
-        t => {
+        (2, None) => VmState::Departed,
+        (3, None) => VmState::Dropped,
+        (0 | 1, None) => {
+            return Err(d.corrupt(format_args!("VM {id} is alive but in no server's list")))
+        }
+        (2 | 3, Some(sid)) => {
+            return Err(d.corrupt(format_args!(
+                "VM {id} is listed on server {sid} but is not alive"
+            )))
+        }
+        (t, _) => {
             return Err(CheckpointError::Corrupt(format!(
                 "unknown vm-state tag {t}"
             )))
@@ -610,6 +621,13 @@ impl Cluster {
                 );
             }
         }
+        assert!(
+            self.servers
+                .iter()
+                .map(|s| s.reserved_count)
+                .eq(self.reserved_counts()),
+            "reservation counts are not the VMs migrating in"
+        );
         assert_eq!(
             self.powered.len() + self.hibernated.len() + self.failed.len(),
             self.servers.len(),
@@ -641,11 +659,12 @@ impl Cluster {
     /// float aggregates (captured as raw bits — recomputing them on
     /// restore would lose the incremental rounding history and break
     /// bit-identity). Static state (specs, capacities, power curves,
-    /// the capacity aggregate) is re-derived from the fleet, and the
-    /// power tags and state indexes are pure functions of the server
-    /// states, so none of those are written.
+    /// the capacity aggregate) is re-derived from the fleet; the power
+    /// tags and state indexes are pure functions of the server states,
+    /// each alive VM's host (or migration source) is the server whose
+    /// list holds it, and each server's `reserved_count` is the number
+    /// of VMs migrating to it, so none of those are written.
     pub(crate) fn encode(&self, e: &mut Enc) {
-        e.usize(self.servers.len());
         for s in &self.servers {
             encode_server_state(s.state, e);
             e.usize(s.vms.len());
@@ -654,12 +673,10 @@ impl Cluster {
             }
             e.f64(s.used_ram_mb);
             e.f64(s.reserved_ram_mb);
-            e.u32(s.reserved_count);
             e.opt_f64(s.empty_since_secs);
         }
         e.usize(self.vms.len());
         for vm in &self.vms {
-            e.u32(vm.id.0);
             e.usize(vm.trace_idx);
             e.f64(vm.demand_mhz);
             e.f64(vm.ram_mb);
@@ -671,107 +688,62 @@ impl Cluster {
             e.bool(vm.started);
             e.bool(vm.evictable);
         }
-        e.f64s(&self.hot.used_mhz);
-        e.f64s(&self.hot.reserved_mhz);
+        self.hot.used_mhz.iter().for_each(|&x| e.f64(x));
+        self.hot.reserved_mhz.iter().for_each(|&x| e.f64(x));
         e.f64(self.agg_used_mhz);
         e.f64(self.agg_power_w);
     }
 
     /// Overlays a checkpoint onto `self`, which must be a freshly
     /// built cluster of the same fleet. Inverse of
-    /// [`encode`](Self::encode); rebuilds the derived power tags and
-    /// state indexes from the restored server states. Every id is
-    /// range-checked: servers against the fleet, VMs against the
-    /// restored table (each VM at its own index), and each VM's trace
-    /// against the `n_traces` of the workload.
+    /// [`encode`](Self::encode); rebuilds the power tags and state
+    /// indexes from the restored server states, the VM hosts from the
+    /// server lists and the reservation counts from the VM table. Every
+    /// id is range-checked: servers against the fleet, VMs against the
+    /// restored table, and each VM's trace against the `n_traces` of
+    /// the workload. A VM must be listed exactly when it is alive.
     pub(crate) fn decode_into(
         &mut self,
         d: &mut Dec<'_>,
         n_traces: usize,
     ) -> Result<(), CheckpointError> {
-        let n = d.usize()?;
-        if n != self.servers.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot has {n} servers, scenario has {}",
-                self.servers.len()
-            )));
-        }
+        let n = self.servers.len();
         for s in &mut self.servers {
             s.state = decode_server_state(d)?;
             s.vms = d.u32s()?.into_iter().map(VmId).collect();
             s.used_ram_mb = d.f64()?;
             s.reserved_ram_mb = d.f64()?;
-            s.reserved_count = d.u32()?;
             s.empty_since_secs = d.opt_f64()?;
         }
         let n_vms = d.usize()?;
-        d.check_remaining(n_vms, 44)?; // fixed-width VM fields
-
-        // The decode-time half of `check_invariants`: each VM must
-        // execute on the server that lists it, and on no server when
-        // none does. Checked as the table is read, so a snapshot whose
-        // ids are each in range but disagree with each other is
-        // `Corrupt`, naming the VM and the server, instead of running
-        // on broken accounting.
+        d.check_remaining(n_vms, 40)?; // fixed-width VM fields
         let listed_by = self.listing_servers(d, n_vms)?;
         self.vms.clear();
         self.vms.reserve(n_vms);
-        for (i, &lister) in listed_by.iter().enumerate() {
-            let id = VmId(d.u32()?);
-            if id.index() != i {
-                return Err(d.corrupt(format_args!("VM {id} stored at index {i}")));
-            }
+        for (i, lister) in listed_by.into_iter().enumerate() {
+            let id = VmId(i as u32);
             let trace_idx = d.usize()?;
             d.in_range("VM trace", trace_idx, n_traces)?;
-            let demand_mhz = d.f64()?;
-            let ram_mb = d.f64()?;
-            let state = decode_vm_state(d, n)?;
-            let arrived_secs = d.f64()?;
-            let priority = decode_priority(d)?;
-            let migration_seq = d.u32()?;
-            let lifetime_secs = d.opt_f64()?;
-            let started = d.bool()?;
-            let evictable = d.bool()?;
-            let vm = Vm {
+            self.vms.push(Vm {
                 id,
                 trace_idx,
-                demand_mhz,
-                ram_mb,
-                state,
-                arrived_secs,
-                priority,
-                migration_seq,
-                lifetime_secs,
-                started,
-                evictable,
-            };
-            match (lister.checked_sub(1).map(ServerId), vm.executing_on()) {
-                (Some(sid), on) if on != Some(sid) => {
-                    return Err(d.corrupt(format_args!(
-                        "VM {id} is listed on server {sid} but its state is {:?}",
-                        vm.state
-                    )))
-                }
-                (None, Some(host)) => {
-                    return Err(d.corrupt(format_args!(
-                        "VM {id} executes on server {host} but is not in its list"
-                    )))
-                }
-                _ => {}
-            }
-            self.vms.push(vm);
+                demand_mhz: d.f64()?,
+                ram_mb: d.f64()?,
+                state: decode_vm_state(d, id, lister, n)?,
+                arrived_secs: d.f64()?,
+                priority: decode_priority(d)?,
+                migration_seq: d.u32()?,
+                lifetime_secs: d.opt_f64()?,
+                started: d.bool()?,
+                evictable: d.bool()?,
+            });
         }
-        let used = d.f64s()?;
-        let reserved = d.f64s()?;
-        if used.len() != n || reserved.len() != n {
-            return Err(CheckpointError::Corrupt(format!(
-                "hot vectors sized {}/{} for {n} servers",
-                used.len(),
-                reserved.len()
-            )));
+        let counts = self.reserved_counts();
+        for (s, count) in self.servers.iter_mut().zip(counts) {
+            s.reserved_count = count;
         }
-        self.hot.used_mhz = used;
-        self.hot.reserved_mhz = reserved;
+        self.hot.used_mhz = d.f64s_of(n)?;
+        self.hot.reserved_mhz = d.f64s_of(n)?;
         self.agg_used_mhz = d.f64()?;
         self.agg_power_w = d.f64()?;
         self.powered.clear();
@@ -789,13 +761,28 @@ impl Cluster {
         Ok(())
     }
 
+    /// Each server's `reserved_count`: the VMs migrating to it.
+    fn reserved_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0; self.servers.len()];
+        for vm in &self.vms {
+            if let VmState::Migrating { to, .. } = vm.state {
+                counts[to.index()] += 1;
+            }
+        }
+        counts
+    }
+
     /// Which server lists each of `n_vms` VMs, read from the server
-    /// lists that precede the VM table: entry `v` is 1 + the id of the
-    /// server whose list holds VM `v`, or 0 when none does. Checks that
+    /// lists that precede the VM table: entry `v` is the server whose
+    /// list holds VM `v`, `None` when none does. Checks that
     /// every listed id is in range, that no VM is listed twice and
     /// that a failed server lists none.
-    fn listing_servers(&self, d: &Dec<'_>, n_vms: usize) -> Result<Vec<u32>, CheckpointError> {
-        let mut listed_by = vec![0u32; n_vms];
+    fn listing_servers(
+        &self,
+        d: &Dec<'_>,
+        n_vms: usize,
+    ) -> Result<Vec<Option<ServerId>>, CheckpointError> {
+        let mut listed_by = vec![None; n_vms];
         for (i, s) in self.servers.iter().enumerate() {
             let sid = ServerId(i as u32);
             if matches!(s.state, ServerState::Failed { .. }) && !s.vms.is_empty() {
@@ -806,11 +793,9 @@ impl Cluster {
             }
             for &v in &s.vms {
                 d.in_range("hosted VM", v.index(), n_vms)?;
-                let first = std::mem::replace(&mut listed_by[v.index()], sid.0 + 1);
-                if first != 0 {
+                if let Some(first) = listed_by[v.index()].replace(sid) {
                     return Err(d.corrupt(format_args!(
-                        "VM {v} is listed on server {} and again on server {sid}",
-                        ServerId(first - 1)
+                        "VM {v} is listed on server {first} and again on server {sid}"
                     )));
                 }
             }

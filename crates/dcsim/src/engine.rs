@@ -81,7 +81,7 @@ use crate::workload::{InitialPlacement, Workload};
 use ecocloud_rng::{Rng, SeedableRng, StdRng};
 use ecocloud_traces::units::frac_to_mhz;
 use ecocloud_traces::{TraceCursor, TraceSet, VmTrace};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 /// Pops the queue logs for parked monitor chains before the engine
 /// settles every parked chain and empties the log (96 KiB of marks).
@@ -105,6 +105,15 @@ pub enum MonitorChain {
     /// No tick is queued: the server is off, or the run ends before
     /// the chain's next tick.
     Stopped,
+}
+
+/// An open overload episode of `server`, begun at `since` and accrued
+/// into the window accumulators up to `accrued_to`.
+#[derive(Debug, Clone, Copy)]
+struct Overload {
+    server: u32,
+    since: f64,
+    accrued_to: f64,
 }
 
 /// Outcome of a completed run.
@@ -142,16 +151,10 @@ pub struct Simulation<P: Policy> {
     /// walks its trace once; the trace set itself stays immutable.
     cursors: Vec<TraceCursor>,
     now: f64,
-    alive_count: usize,
     last_pop_accrual: f64,
-    /// Per-server: start time of the ongoing overload episode.
-    overload_since: Vec<Option<f64>>,
-    /// Per-server: time up to which the ongoing overload has been
-    /// accrued into the window accumulators.
-    overload_accrued_to: Vec<f64>,
-    /// Servers with an open overload episode — the only ones the
-    /// periodic accrual sweeps need to visit.
-    overload_active: SortedIdSet,
+    /// Open overload episodes in ascending server order — the only
+    /// servers the periodic accrual sweeps need to visit.
+    overloads: Vec<Overload>,
     /// Alive (hosted or migrating) VMs — the set a demand update
     /// iterates, instead of every VM ever spawned.
     alive_vms: SortedIdSet,
@@ -194,19 +197,6 @@ pub struct Simulation<P: Policy> {
     log: EventLog,
 }
 
-/// Checkpoint-decode guard: a restored per-server vector must match
-/// the scenario's fleet size.
-fn expect_len<T>(v: Vec<T>, n: usize, what: &str) -> Result<Vec<T>, CheckpointError> {
-    if v.len() == n {
-        Ok(v)
-    } else {
-        Err(CheckpointError::Corrupt(format!(
-            "{what} has {} entries for {n} servers",
-            v.len()
-        )))
-    }
-}
-
 /// Demand of trace `trace_idx` at global step `k`, in MHz, read through
 /// its cursor. Closed-system traces hold their last sample (they cover
 /// the run); with `wrap` (open system) they repeat so late arrivals
@@ -224,6 +214,14 @@ fn trace_demand_mhz(
     let trace = &traces.vms[trace_idx];
     let j = trace.step_index(k, wrap);
     frac_to_mhz(trace.sample_at(&mut cursors[trace_idx], j) as f64)
+}
+
+/// The alive (hosted or migrating) VMs of a VM table.
+fn alive_set(vms: &[Vm]) -> SortedIdSet {
+    vms.iter()
+        .filter(|vm| vm.is_alive())
+        .map(|vm| vm.id.0)
+        .collect()
 }
 
 /// The control plane behind an exchange transition. Exchanges exist
@@ -271,9 +269,10 @@ impl<P: Policy> Simulation<P> {
             .control_plane
             .enabled()
             .then(|| ControlPlane::new(config.control_plane.clone()));
-        // Pre-size the calendar for the steady-state event population:
-        // one pending departure per spawned VM (spawns are all enqueued
-        // up front) plus a monitor chain per server.
+        // Pre-size the calendar's overflow heap for what an open system
+        // queues: every spawn up front, then a departure in each started
+        // VM's place. Servers add their first monitor ticks at t = 0;
+        // later ticks run in the queue's monitor lane.
         let queue = EventQueue::with_capacity(n_servers + workload.spawns.len());
         let cursors = workload.traces.vms.iter().map(VmTrace::cursor).collect();
         Self {
@@ -285,11 +284,8 @@ impl<P: Policy> Simulation<P> {
             workload,
             cursors,
             now: 0.0,
-            alive_count: 0,
             last_pop_accrual: 0.0,
-            overload_since: vec![None; n_servers],
-            overload_accrued_to: vec![0.0; n_servers],
-            overload_active: SortedIdSet::new(),
+            overloads: Vec::new(),
             alive_vms: SortedIdSet::new(),
             demand_dirty: vec![false; n_servers],
             demand_dirty_ids: Vec::new(),
@@ -385,26 +381,21 @@ impl<P: Policy> Simulation<P> {
         self.stats.events_processed + unsettled
     }
 
-    /// The monitor chains and their anchors as they stand after the
-    /// last pop with every parked chain settled, and the silent ticks
-    /// that settling counts. This is what a snapshot stores, so its
-    /// bytes do not depend on when the live chains were last settled.
-    fn settled_chains(&self) -> (Vec<MonitorChain>, Vec<f64>, u64) {
-        let mut chains = self.monitor.clone();
-        let mut anchors = self.monitor_anchor.clone();
-        let mut ticks = 0;
+    /// The parked chains (server and watermark, in server order) and
+    /// every chain's anchor as they stand after the last pop with every
+    /// parked chain settled, and the silent ticks that settling counts.
+    /// This is what a snapshot stores, so its bytes do not depend on
+    /// when the live chains were last settled.
+    fn settled_chains(&self) -> (Vec<(u32, u64)>, Vec<f64>, u64) {
+        let (mut parked, mut anchors, mut ticks) = (Vec::new(), self.monitor_anchor.clone(), 0);
         for &id in &self.parked {
-            let i = id as usize;
-            let s = self.settle_of(i);
+            let s = self.settle_of(id as usize);
             ticks += s.ticks;
-            anchors[i] = s.anchor;
-            chains[i] =
-                s.watermark
-                    .map_or(MonitorChain::Stopped, |watermark| MonitorChain::Parked {
-                        watermark,
-                    });
+            anchors[id as usize] = s.anchor;
+            parked.extend(s.watermark.map(|watermark| (id, watermark)));
         }
-        (chains, anchors, ticks)
+        parked.sort_unstable();
+        (parked, anchors, ticks)
     }
 
     /// Serializes the complete deterministic state of this run into a
@@ -418,33 +409,34 @@ impl<P: Policy> Simulation<P> {
     /// validated against; `seq` is a caller-chosen monotonic sequence
     /// number (checkpoint N of this run).
     pub fn checkpoint(&self, spec: &str, seq: u64) -> Checkpoint<'static> {
-        let (chains, anchors, unsettled) = self.settled_chains();
+        #[cfg(debug_assertions)]
+        self.assert_rebuildable();
+        self.snapshot(spec, seq)
+    }
+
+    /// [`checkpoint`](Self::checkpoint) without its debug check of the
+    /// indexes the snapshot leaves out.
+    fn snapshot(&self, spec: &str, seq: u64) -> Checkpoint<'static> {
+        let (parked, anchors, unsettled) = self.settled_chains();
         let mut ckpt = Checkpoint::new(spec, seq, self.now);
         ckpt.encode_section("engine", |e| self.encode_engine(e, &anchors));
         ckpt.encode_section("traces", |e| self.encode_traces(e));
         ckpt.encode_section("cluster", |e| self.cluster.encode(e));
-        ckpt.encode_section("queue", |e| self.queue.encode(e));
+        ckpt.encode_section("queue", |e| self.queue.encode(e, self.now));
         ckpt.encode_section("stats", |e| self.stats.encode(e, unsettled));
-        ckpt.encode_section("control", |e| match &self.control {
-            None => e.bool(false),
-            Some(cp) => {
-                e.bool(true);
+        ckpt.encode_section("control", |e| {
+            if let Some(cp) = &self.control {
                 cp.encode(e);
             }
         });
         ckpt.encode_section("log", |e| self.log.encode(e));
         ckpt.encode_section("policy", |e| e.u64s(&self.policy.checkpoint_state()));
+        // The queue holds the scheduled chains' ticks.
         ckpt.encode_section("monitor", |e| {
-            e.usize(chains.len());
-            for c in &chains {
-                match *c {
-                    MonitorChain::Scheduled => e.u8(0),
-                    MonitorChain::Parked { watermark } => {
-                        e.u8(1);
-                        e.u64(watermark);
-                    }
-                    MonitorChain::Stopped => e.u8(2),
-                }
+            e.usize(parked.len());
+            for &(i, watermark) in &parked {
+                e.u32(i);
+                e.u64(watermark);
             }
             e.u64(self.stats.monitor_ticks_settled + unsettled);
         });
@@ -475,50 +467,54 @@ impl<P: Policy> Simulation<P> {
     ) -> Result<Self, CheckpointError> {
         ckpt.verify_compat(spec)?;
         let mut sim = Self::unscheduled(fleet, workload, config, policy);
+        // Resuming a monitor chain walks from its anchor up to the clock.
+        sim.now = ckpt.sim_time_secs;
+        if !(0.0..=sim.config.duration_secs).contains(&sim.now) {
+            return Err(CheckpointError::Corrupt(format!(
+                "clock {} lies outside the run",
+                sim.now
+            )));
+        }
 
         // The cluster goes first: its VM table sizes the VM ids every
         // later section is checked against.
         let mut d = Dec::new(ckpt.section("cluster")?, "cluster");
         sim.cluster.decode_into(&mut d, sim.cursors.len())?;
         d.finish()?;
+        sim.alive_vms = alive_set(&sim.cluster.vms);
         let ids = IdBounds {
             servers: sim.cluster.n_servers(),
             vms: sim.cluster.vms.len(),
-            spawns: sim.workload.spawns.len(),
         };
 
         let mut d = Dec::new(ckpt.section("engine")?, "engine");
-        sim.decode_engine(&mut d, &ids)?;
+        sim.decode_engine(&mut d)?;
         d.finish()?;
 
         let mut d = Dec::new(ckpt.section("traces")?, "traces");
         sim.decode_traces(&mut d)?;
         d.finish()?;
 
+        // The queue section leaves out the spawns still to arrive; they
+        // go back with the keys they were queued with.
+        let spawns = sim.pending_spawns()?;
         let mut d = Dec::new(ckpt.section("queue")?, "queue");
-        sim.queue = EventQueue::decode(&mut d, &ids)?;
+        sim.queue
+            .decode_into(&mut d, &ids, sim.now, spawns.end as u64)?;
         d.finish()?;
+        for i in spawns {
+            let t = sim.workload.spawns[i].arrive_secs;
+            sim.queue
+                .restore_entry(t, 2 * i as u64 + 1, Event::Spawn(i));
+        }
 
         let mut d = Dec::new(ckpt.section("stats")?, "stats");
         sim.stats = SimStats::decode(&mut d)?;
         d.finish()?;
 
         let mut d = Dec::new(ckpt.section("control")?, "control");
-        let snapshot_has_control = d.bool()?;
-        match (sim.control.as_mut(), snapshot_has_control) {
-            (Some(cp), true) => cp.decode_into(&mut d, &ids)?,
-            (None, false) => {}
-            (cur, _) => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "control plane {} in snapshot but {} in scenario",
-                    if snapshot_has_control {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                    if cur.is_some() { "enabled" } else { "disabled" },
-                )))
-            }
+        if let Some(cp) = sim.control.as_mut() {
+            cp.decode_into(&mut d, &ids)?;
         }
         d.finish()?;
 
@@ -533,163 +529,197 @@ impl<P: Policy> Simulation<P> {
             .restore_state(&words)
             .map_err(CheckpointError::Corrupt)?;
 
-        // After the queue (watermarks are checked against its next
-        // number) and the policy (a parked server must be inside the
-        // band the restored policy offers).
+        // After the queue (which holds the scheduled chains' ticks),
+        // the stats (settled ticks are processed events) and the policy
+        // (a parked server must be inside its band).
         let mut d = Dec::new(ckpt.section("monitor")?, "monitor");
         sim.decode_monitor(&mut d)?;
         d.finish()?;
 
+        // The re-snapshot also checks the cluster invariants and every
+        // rebuilt index (`assert_rebuildable`).
         #[cfg(debug_assertions)]
-        {
-            let re = sim.checkpoint(spec, ckpt.seq);
-            assert_eq!(
-                re.sim_time_secs.to_bits(),
-                ckpt.sim_time_secs.to_bits(),
-                "restored engine re-snapshots at a different sim time"
-            );
-            if let Some(section) = ckpt.first_divergent_section(&re) {
-                panic!("checkpoint round-trip diverged in section {section:?}");
-            }
-            sim.cluster.check_invariants();
+        if let Some(section) = ckpt.first_divergent_section(&sim.checkpoint(spec, ckpt.seq)) {
+            panic!("checkpoint round-trip diverged in section {section:?}");
         }
         Ok(sim)
+    }
+
+    /// The spawns still to arrive, which the queue section leaves out:
+    /// spawn `i` (event number `i`, as spawns are queued first) for
+    /// `vms ≤ i < m`, where `vms` counts the VMs (one per arrival) and
+    /// `m` the spawns that arrive by the end of the run. Refuses a VM
+    /// table longer than `m` and a next arrival before the clock.
+    fn pending_spawns(&self) -> Result<Range<usize>, CheckpointError> {
+        let spawns = &self.workload.spawns;
+        let vms = self.cluster.vms.len();
+        let m = spawns.partition_point(|s| s.arrive_secs <= self.config.duration_secs);
+        if vms > m
+            || spawns[vms..m]
+                .first()
+                .is_some_and(|s| s.arrive_secs < self.now)
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "{vms} VMs do not fit {m} arrivals by the end of the run and the clock {} s",
+                self.now
+            )));
+        }
+        Ok(vms..m)
+    }
+
+    /// The monitor chains the queue implies: `Scheduled` for each
+    /// server with a queued tick, `Stopped` for the rest. Refuses two
+    /// queued ticks for one server, and a queued crash while faults are
+    /// off.
+    fn queued_chains(&self) -> Result<Vec<MonitorChain>, CheckpointError> {
+        let mut chains = vec![MonitorChain::Stopped; self.cluster.n_servers()];
+        for (_, _, event) in self.queue.pending() {
+            let why = match event {
+                Event::MonitorTick(sid) if chains[sid.index()] == MonitorChain::Scheduled => {
+                    format!("two monitor ticks for server {sid}")
+                }
+                Event::MonitorTick(sid) => {
+                    chains[sid.index()] = MonitorChain::Scheduled;
+                    continue;
+                }
+                Event::FaultCrash if self.fault_rng.is_none() => "a crash with faults off".into(),
+                _ => continue,
+            };
+            return Err(CheckpointError::Corrupt(format!("section 'queue': {why}")));
+        }
+        Ok(chains)
+    }
+
+    /// Checks that the indexes a snapshot leaves out are what
+    /// [`restore_from`](Self::restore_from) rebuilds from what it
+    /// keeps: the cluster's (by its invariants), the alive set, the
+    /// scheduled chains and the queued spawns. (The queue checks its
+    /// clock floor as it encodes.)
+    #[cfg(debug_assertions)]
+    fn assert_rebuildable(&self) {
+        self.cluster.check_invariants();
+        assert_eq!(self.alive_vms, alive_set(&self.cluster.vms));
+        let scheduled = |c: &MonitorChain| *c == MonitorChain::Scheduled;
+        let chains = self.queued_chains().expect("queued ticks");
+        assert!(chains
+            .iter()
+            .zip(&self.monitor)
+            .all(|(a, b)| scheduled(a) == scheduled(b)));
+        let spawn =
+            |(_, key, e): (f64, u64, Event)| matches!(e, Event::Spawn(_)).then_some((key, e));
+        let mut spawns: Vec<_> = self.queue.pending().filter_map(spawn).collect();
+        spawns.sort_unstable_by_key(|p| p.0);
+        let pending = self.pending_spawns().expect("arrivals");
+        assert!(spawns
+            .into_iter()
+            .eq(pending.map(|i| (2 * i as u64 + 1, Event::Spawn(i)))));
     }
 
     /// Engine-private mutable state (everything not owned by a
     /// dedicated subsystem codec), with the monitor anchors as settled
     /// by [`settled_chains`](Self::settled_chains).
     fn encode_engine(&self, e: &mut Enc, monitor_anchor: &[f64]) {
-        e.f64(self.now);
-        e.usize(self.alive_count);
         e.f64(self.last_pop_accrual);
-        e.usize(self.overload_since.len());
-        for s in &self.overload_since {
-            e.opt_f64(*s);
+        e.usize(self.overloads.len());
+        for o in &self.overloads {
+            e.u32(o.server);
+            e.f64(o.since);
+            e.f64(o.accrued_to);
         }
-        e.f64s(&self.overload_accrued_to);
-        e.u32s(self.overload_active.as_slice());
-        e.u32s(self.alive_vms.as_slice());
-        e.f64s(monitor_anchor);
-        match &self.fault_rng {
-            None => e.bool(false),
-            Some(rng) => {
-                e.bool(true);
-                e.u64(rng.state());
-            }
+        monitor_anchor.iter().for_each(|&x| e.f64(x));
+        if let Some(rng) = &self.fault_rng {
+            e.u64(rng.state());
         }
-        e.u32s(&self.wake_seq);
-        e.u32s(&self.wake_attempts);
+        self.wake_seq.iter().for_each(|&x| e.u32(x));
+        self.wake_attempts.iter().for_each(|&x| e.u32(x));
     }
 
     /// Inverse of [`encode_engine`](Self::encode_engine); validates
-    /// every per-server vector against the scenario's fleet size and
-    /// every id against `ids`.
-    fn decode_engine(&mut self, d: &mut Dec<'_>, ids: &IdBounds) -> Result<(), CheckpointError> {
+    /// every per-server vector and overload episode against the fleet.
+    fn decode_engine(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
         let n = self.cluster.n_servers();
-        self.now = d.f64()?;
-        // Resuming a monitor chain walks from its anchor up to `now`.
-        if !(0.0..=self.config.duration_secs).contains(&self.now) {
-            return Err(d.corrupt(format_args!("clock {} lies outside the run", self.now)));
-        }
-        self.alive_count = d.usize()?;
         self.last_pop_accrual = d.f64()?;
-        let m = d.usize()?;
-        if m != n {
-            return Err(CheckpointError::Corrupt(format!(
-                "overload_since has {m} entries for {n} servers"
-            )));
-        }
-        d.check_remaining(m, 1)?;
-        let mut overload_since = Vec::with_capacity(m);
-        for _ in 0..m {
-            overload_since.push(d.opt_f64()?);
-        }
-        self.overload_since = overload_since;
-        self.overload_accrued_to = expect_len(d.f64s()?, n, "overload_accrued_to")?;
-        self.overload_active = d
-            .ids("overloaded server", ids.servers)?
-            .into_iter()
-            .collect();
-        self.alive_vms = d.ids("alive VM", ids.vms)?.into_iter().collect();
-        self.monitor_anchor = expect_len(d.f64s()?, n, "monitor_anchor")?;
-        let snapshot_has_faults = d.bool()?;
-        let fault_state = if snapshot_has_faults {
-            Some(d.u64()?)
-        } else {
-            None
-        };
-        match (self.fault_rng.as_mut(), fault_state) {
-            (Some(rng), Some(state)) => *rng = StdRng::from_state(state),
-            (None, None) => {}
-            (cur, _) => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "fault RNG {} in snapshot but faults are {} in scenario",
-                    if snapshot_has_faults {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                    if cur.is_some() { "enabled" } else { "disabled" },
-                )))
+        let n_open = d.usize()?;
+        d.check_remaining(n_open, 20)?;
+        let mut overloads: Vec<Overload> = Vec::with_capacity(n_open);
+        for _ in 0..n_open {
+            let o = Overload {
+                server: d.id("overloaded server", n)?,
+                since: d.f64()?,
+                accrued_to: d.f64()?,
+            };
+            if overloads.last().is_some_and(|last| last.server >= o.server) {
+                return Err(d.corrupt(format_args!(
+                    "overload episode of server {} out of order",
+                    o.server
+                )));
             }
+            overloads.push(o);
         }
-        self.wake_seq = expect_len(d.u32s()?, n, "wake_seq")?;
-        self.wake_attempts = expect_len(d.u32s()?, n, "wake_attempts")?;
+        self.overloads = overloads;
+        self.monitor_anchor = d.f64s_of(n)?;
+        if let Some(rng) = self.fault_rng.as_mut() {
+            *rng = StdRng::from_state(d.u64()?);
+        }
+        self.wake_seq = d.u32s_of(n)?;
+        self.wake_attempts = d.u32s_of(n)?;
         Ok(())
     }
 
     /// Inverse of the `monitor` section [`checkpoint`](Self::checkpoint)
-    /// writes: one chain state per server, then the settled-tick count.
-    /// Every chain's anchor (from the `engine` section) must lie in the
-    /// run, since resuming or settling a chain walks from it. A parked
-    /// chain is stored settled, so its server must be quiet, its next
-    /// tick due between now and the end of the run, and its watermark
-    /// issued.
+    /// writes: the parked chains in server order with their watermarks,
+    /// then the settled-tick count; the other chains are as the queue
+    /// implies ([`queued_chains`](Self::queued_chains)). Every anchor
+    /// must lie in the run, since resuming or settling a chain walks
+    /// from it. A parked chain is stored settled, so its server must be
+    /// quiet with no tick queued, its next tick due between now and the
+    /// end of the run, and its watermark issued.
     fn decode_monitor(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
         let n = self.cluster.n_servers();
         let end = self.config.duration_secs;
-        let m = d.usize()?;
-        if m != n {
-            return Err(d.corrupt(format_args!("{m} monitor chains for {n} servers")));
+        if let Some(a) = self
+            .monitor_anchor
+            .iter()
+            .find(|a| !(0.0..=end).contains(*a))
+        {
+            return Err(d.corrupt(format_args!("monitor anchor {a} lies outside the run")));
         }
-        d.check_remaining(m, 1)?;
-        for i in 0..n {
-            let anchor = self.monitor_anchor[i];
-            if !(0.0..=end).contains(&anchor) {
+        self.monitor = self.queued_chains()?;
+        let n_parked = d.usize()?;
+        d.check_remaining(n_parked, 12)?;
+        let mut last = None;
+        for _ in 0..n_parked {
+            let i = d.id("parked server", n)? as usize;
+            let watermark = d.u64()?;
+            let next = self.monitor_anchor[i] + self.config.monitor_interval_secs;
+            if last.is_some_and(|last| last >= i)
+                || self.monitor[i] != MonitorChain::Stopped
+                || watermark > self.queue.watermark()
+                || !(self.now..=end).contains(&next)
+                || !self.is_quiet(i)
+            {
                 return Err(d.corrupt(format_args!(
-                    "server {i}'s monitor anchor {anchor} lies outside the run"
+                    "server {i}'s monitor chain is parked (watermark {watermark}, next tick \
+                     {next}) but cannot be"
                 )));
             }
-            self.monitor[i] = match d.u8()? {
-                0 => MonitorChain::Scheduled,
-                1 => {
-                    let watermark = d.u64()?;
-                    let next = anchor + self.config.monitor_interval_secs;
-                    if watermark > self.queue.watermark()
-                        || !(self.now..=end).contains(&next)
-                        || !self.is_quiet(i)
-                    {
-                        return Err(d.corrupt(format_args!(
-                            "server {i}'s monitor chain is parked (watermark {watermark}, \
-                             next tick {next}) but cannot be"
-                        )));
-                    }
-                    self.park(i, watermark);
-                    continue;
-                }
-                2 => MonitorChain::Stopped,
-                other => return Err(d.corrupt(format_args!("unknown monitor chain tag {other}"))),
-            };
+            self.park(i, watermark);
+            last = Some(i);
         }
-        self.stats.monitor_ticks_settled = d.u64()?;
+        let settled = d.u64()?;
+        if settled > self.stats.events_processed {
+            return Err(d.corrupt(format_args!(
+                "{settled} settled monitor ticks but {} processed events",
+                self.stats.events_processed
+            )));
+        }
+        self.stats.monitor_ticks_settled = settled;
         Ok(())
     }
 
-    /// Trace cursors: 25 B each. Restoring them means a resume never
-    /// replays a trace from its start.
+    /// Trace cursors, 25 B each, one per trace (so no count). Restoring
+    /// them means a resume never replays a trace from its start.
     fn encode_traces(&self, e: &mut Enc) {
-        e.usize(self.cursors.len());
         for c in &self.cursors {
             e.u64(c.rng);
             e.f64(c.x);
@@ -699,19 +729,10 @@ impl<P: Policy> Simulation<P> {
         }
     }
 
-    /// Inverse of [`encode_traces`](Self::encode_traces); checks the
-    /// count against the workload's traces and every cursor against
-    /// its trace.
+    /// Inverse of [`encode_traces`](Self::encode_traces), one cursor
+    /// per trace of the workload; checks every cursor against its trace.
     fn decode_traces(&mut self, d: &mut Dec<'_>) -> Result<(), CheckpointError> {
         let traces = &self.workload.traces.vms;
-        let n = d.usize()?;
-        if n != traces.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{n} trace cursors for {} traces",
-                traces.len()
-            )));
-        }
-        d.check_remaining(n, 25)?;
         for (i, trace) in traces.iter().enumerate() {
             let c = TraceCursor {
                 rng: d.u64()?,
@@ -790,22 +811,17 @@ impl<P: Policy> Simulation<P> {
         self.drain_exchanges();
         self.accrue_population();
         self.accrue_active_overloads();
-        let open: Vec<u32> = self.overload_active.iter().collect();
-        for id in open {
-            let sid = ServerId(id);
-            if let Some(since) = self.overload_since[sid.index()].take() {
-                self.stats.record_violation(end - since);
-                self.overload_active.remove(sid.0);
-                self.log.push(SimEvent::OverloadEnded {
-                    t: end,
-                    server: sid,
-                    duration: end - since,
-                });
-            }
+        for o in std::mem::take(&mut self.overloads) {
+            self.stats.record_violation(end - o.since);
+            self.log.push(SimEvent::OverloadEnded {
+                t: end,
+                server: ServerId(o.server),
+                duration: end - o.since,
+            });
         }
         self.refresh_power();
         let final_powered = self.cluster.powered_count();
-        let final_alive_vms = self.alive_count;
+        let final_alive_vms = self.alive_vms.len();
         let final_inflight_migrations = self
             .alive_vms
             .iter()
@@ -921,7 +937,7 @@ impl<P: Policy> Simulation<P> {
     fn accrue_population(&mut self) {
         let dt = self.now - self.last_pop_accrual;
         if dt > 0.0 {
-            self.stats.accrue_population(dt, self.alive_count);
+            self.stats.accrue_population(dt, self.alive_vms.len());
             self.last_pop_accrual = self.now;
         }
     }
@@ -930,8 +946,8 @@ impl<P: Policy> Simulation<P> {
     /// the server's *current* (pre-mutation) load. Must be called
     /// before any change to the server's load or VM count.
     fn accrue_overload(&mut self, sid: ServerId) {
-        if self.overload_since[sid.index()].is_some() {
-            let dt = self.now - self.overload_accrued_to[sid.index()];
+        if let Ok(k) = self.overloads.binary_search_by_key(&sid.0, |o| o.server) {
+            let dt = self.now - self.overloads[k].accrued_to;
             if dt > 0.0 {
                 let s = &self.cluster.servers[sid.index()];
                 // Per-class demands and counts on this server.
@@ -950,20 +966,16 @@ impl<P: Policy> Simulation<P> {
                 self.stats
                     .accrue_overload_classes(dt, count_by_class, granted);
             }
-            self.overload_accrued_to[sid.index()] = self.now;
+            self.overloads[k].accrued_to = self.now;
         }
     }
 
     /// Accrues every open overload episode up to `now`. Sweeps only the
-    /// `overload_active` index — O(overloaded), not O(fleet) — in
-    /// ascending server order, matching the full scan it replaces.
+    /// open episodes — O(overloaded), not O(fleet) — in ascending
+    /// server order, matching the full scan it replaces.
     fn accrue_active_overloads(&mut self) {
-        if self.overload_active.is_empty() {
-            return;
-        }
-        let active: Vec<u32> = self.overload_active.iter().collect();
-        for id in active {
-            self.accrue_overload(ServerId(id));
+        for k in 0..self.overloads.len() {
+            self.accrue_overload(ServerId(self.overloads[k].server));
         }
     }
 
@@ -974,21 +986,26 @@ impl<P: Policy> Simulation<P> {
         self.rearm_if_loud(sid);
         let is = self.cluster.hot().is_overloaded(sid.index())
             && self.cluster.servers[sid.index()].is_active();
-        match (self.overload_since[sid.index()], is) {
-            (Some(since), false) => {
+        let open = self.overloads.binary_search_by_key(&sid.0, |o| o.server);
+        match (open, is) {
+            (Ok(k), false) => {
+                let since = self.overloads.remove(k).since;
                 self.stats.record_violation(self.now - since);
-                self.overload_since[sid.index()] = None;
-                self.overload_active.remove(sid.0);
                 self.log.push(SimEvent::OverloadEnded {
                     t: self.now,
                     server: sid,
                     duration: self.now - since,
                 });
             }
-            (None, true) => {
-                self.overload_since[sid.index()] = Some(self.now);
-                self.overload_accrued_to[sid.index()] = self.now;
-                self.overload_active.insert(sid.0);
+            (Err(k), true) => {
+                self.overloads.insert(
+                    k,
+                    Overload {
+                        server: sid.0,
+                        since: self.now,
+                        accrued_to: self.now,
+                    },
+                );
                 self.log.push(SimEvent::OverloadStarted {
                     t: self.now,
                     server: sid,
@@ -1103,7 +1120,6 @@ impl<P: Policy> Simulation<P> {
                 self.accrue_overload(host);
                 self.cluster.detach(vm_id, host, self.now);
                 self.cluster.vms[vm_id.index()].state = VmState::Departed;
-                self.alive_count -= 1;
                 self.stats.vms_departed += 1;
                 self.alive_vms.remove(vm_id.0);
                 self.reconcile_overload(host);
@@ -1132,7 +1148,6 @@ impl<P: Policy> Simulation<P> {
                     .migration_seq
                     .wrapping_add(1);
                 self.cluster.release_reservation(to, demand, ram);
-                self.alive_count -= 1;
                 self.stats.vms_departed += 1;
                 self.alive_vms.remove(vm_id.0);
                 self.stats.migrations_aborted += 1;
@@ -1718,7 +1733,6 @@ impl<P: Policy> Simulation<P> {
             None => {
                 self.cluster.vms[vm_id.index()].state = VmState::Dropped;
                 self.stats.vms_lost += 1;
-                self.alive_count -= 1;
                 self.alive_vms.remove(vm_id.0);
                 self.log.push(SimEvent::VmLost {
                     t: self.now,
@@ -1931,7 +1945,6 @@ impl<P: Policy> Simulation<P> {
                 self.accrue_population();
                 self.accrue_overload(target);
                 self.cluster.attach(vm, target, self.now);
-                self.alive_count += 1;
                 self.stats.vms_arrived += 1;
                 self.alive_vms.insert(vm.0);
                 self.reconcile_overload(target);
@@ -3316,10 +3329,31 @@ mod tests {
         assert_eq!(flushed, (3600.0, 3600.0));
     }
 
-    /// A snapshot's `traces` section carries every cursor (count, then
-    /// 25 B each: rng u64, x f64, bursting u8, next u32, last f32). A
-    /// hostile section is refused with `Corrupt`, never a panic, and
-    /// the untouched one restores.
+    /// The 6-server `lan` scenario the hostile-snapshot tests snapshot
+    /// at hour 1.
+    fn lan_scenario() -> (Fleet, Workload, SimConfig) {
+        let mut config = quick_config();
+        config.control_plane = crate::config::ControlPlaneConfig::lan(3);
+        (
+            Fleet::uniform(6, 6),
+            Workload::all_vms_from_start(small_traces(8)),
+            config,
+        )
+    }
+
+    /// `ckpt` with section `name` replaced by `bytes`, re-sealed.
+    fn with_section(ckpt: &Checkpoint<'_>, name: &str, bytes: &[u8]) -> Checkpoint<'static> {
+        let mut out = Checkpoint::new(ckpt.spec.clone(), ckpt.seq, ckpt.sim_time_secs);
+        for (n, b) in ckpt.sections() {
+            out.push_section(n, if n == name { bytes } else { b });
+        }
+        out
+    }
+
+    /// A snapshot's `traces` section carries one cursor per trace, 25 B
+    /// each: rng u64, x f64, bursting u8, next u32, last f32. A hostile
+    /// section is refused with `Corrupt`, never a panic, and the
+    /// untouched one restores.
     #[test]
     fn hostile_trace_cursor_section_is_refused() {
         let make = || {
@@ -3334,17 +3368,13 @@ mod tests {
         while sim.now() < 3600.0 && sim.step().is_some() {}
         let ckpt = sim.checkpoint("t", 0);
         let good = ckpt.section("traces").expect("traces section").to_vec();
-        assert_eq!(good.len(), 8 + 4 * 25);
+        assert_eq!(good.len(), 4 * 25);
         assert!(
             sim.cursors.iter().all(|c| c.next == 12),
             "cursors stand at hour 1"
         );
         let restore = |traces: Vec<u8>| {
-            let mut bad = Checkpoint::new("t", 0, ckpt.sim_time_secs);
-            for (name, bytes) in ckpt.sections() {
-                let bytes = if name == "traces" { &traces } else { bytes };
-                bad.push_section(name, bytes);
-            }
+            let bad = with_section(&ckpt, "traces", &traces);
             let (fleet, workload, config) = make();
             Simulation::restore_from(fleet, workload, config, FirstFit, &bad, "t").map(|_| ())
         };
@@ -3354,13 +3384,10 @@ mod tests {
             b[at..at + bytes.len()].copy_from_slice(bytes);
             b
         };
-        let cursor = |i: usize| 8 + 25 * i;
+        let cursor = |i: usize| 25 * i;
         let steps = small_traces(1).vms[0].steps() as u32;
-        let mut wrong_count = patched(0, &3u64.to_le_bytes());
-        wrong_count.truncate(cursor(3));
         let cases = [
-            ("wrong count", wrong_count),
-            ("inflated length", patched(0, &u64::MAX.to_le_bytes())),
+            ("a cursor short", good[..cursor(3)].to_vec()),
             (
                 "next > steps",
                 patched(cursor(2) + 17, &(steps + 1).to_le_bytes()),
@@ -3397,32 +3424,41 @@ mod tests {
         }
     }
 
-    /// A snapshot whose monitor chains contradict the rest of the state
-    /// is refused with `Corrupt`: a parked chain whose server is off,
-    /// whose watermark was never issued, or whose next tick lies past
-    /// the end of the run, and an anchor or clock outside the run.
-    /// Settling or resuming such a chain would walk from a bad anchor
-    /// to a bad clock (a near-endless loop) or re-arm a tick out of
-    /// order. Each case edits a running engine and snapshots it.
+    /// A snapshot whose monitor chains or arrivals contradict the rest
+    /// of the state is refused with `Corrupt`: a parked chain whose
+    /// server is off, whose watermark was never issued, whose next tick
+    /// lies past the end of the run, or that also has a tick queued;
+    /// two queued ticks for one server; an anchor or clock outside the
+    /// run; and a VM table longer than the spawns that arrive in the
+    /// run. Settling or resuming such a chain would walk from a bad
+    /// anchor to a bad clock (a near-endless loop) or re-arm a tick out
+    /// of order. Each case edits a running engine and snapshots it,
+    /// past the debug check that the live engine's indexes rebuild.
     #[test]
     fn hostile_monitor_chains_are_refused() {
         type Edit = fn(&mut Simulation<QuietFirstFit>);
-        let restore = |edit: Edit| {
-            let make = || {
-                (
-                    Fleet::uniform(6, 6),
-                    Workload::all_vms_from_start(small_traces(4)),
-                    quick_config(),
-                )
-            };
+        let make = || {
+            (
+                Fleet::uniform(6, 6),
+                Workload::all_vms_from_start(small_traces(4)),
+                quick_config(),
+            )
+        };
+        let at_hour_1 = || {
             let (fleet, workload, config) = make();
             let mut sim = Simulation::new(fleet, workload, config, QuietFirstFit);
             while sim.now() < 3600.0 && sim.step().is_some() {}
             assert!(!sim.parked.is_empty() && sim.parked.len() < 6);
-            edit(&mut sim);
-            let ckpt = sim.checkpoint("t", 0);
+            sim
+        };
+        let restore_ckpt = |ckpt: &Checkpoint<'_>| {
             let (fleet, workload, config) = make();
-            Simulation::restore_from(fleet, workload, config, QuietFirstFit, &ckpt, "t").map(|_| ())
+            Simulation::restore_from(fleet, workload, config, QuietFirstFit, ckpt, "t").map(|_| ())
+        };
+        let restore = |edit: Edit| {
+            let mut sim = at_hour_1();
+            edit(&mut sim);
+            restore_ckpt(&sim.snapshot("t", 0))
         };
         assert_eq!(restore(|_| {}), Ok(()));
         fn off(sim: &Simulation<QuietFirstFit>) -> usize {
@@ -3430,24 +3466,15 @@ mod tests {
                 .find(|&i| !sim.cluster.hot().is_powered(i))
                 .expect("a server is off")
         }
-        let cases: [(&str, Edit); 7] = [
-            ("parked while off", |sim| {
-                let i = off(sim);
-                sim.monitor[i] = MonitorChain::Parked { watermark: 0 };
-            }),
+        let cases: [(&str, Edit); 9] = [
+            ("parked while off", |sim| sim.park(off(sim), 0)),
             ("watermark not issued", |sim| {
+                // Settled up to the last pop, so a snapshot keeps it.
+                sim.settle_parked_chains();
                 let i = sim.parked[0] as usize;
                 sim.monitor[i] = MonitorChain::Parked {
                     watermark: sim.queue.watermark() + 1,
                 };
-                sim.unpark(i, sim.monitor[i]);
-            }),
-            ("parked past the end", |sim| {
-                let i = off(sim);
-                sim.cluster
-                    .set_server_state(ServerId(i as u32), ServerState::Active);
-                sim.monitor_anchor[i] = sim.config.duration_secs;
-                sim.monitor[i] = MonitorChain::Parked { watermark: 0 };
             }),
             // On a stopped chain: the live engine settles its parked
             // ones from their anchors before encoding them.
@@ -3463,7 +3490,25 @@ mod tests {
                 let i = off(sim);
                 sim.monitor_anchor[i] = sim.config.duration_secs * 2.0;
             }),
-            ("clock after the run", |sim| sim.now = 1e300),
+            ("clock after the run", |sim| {
+                sim.now = 1e300;
+                sim.queue.advance_to(sim.now);
+            }),
+            ("tick for a parked chain", |sim| {
+                let sid = ServerId(sim.parked[0]);
+                sim.queue.schedule(sim.now + 1.0, Event::MonitorTick(sid));
+            }),
+            ("two ticks for one server", |sim| {
+                let sid = ServerId(off(sim) as u32);
+                sim.queue.schedule(sim.now + 1.0, Event::MonitorTick(sid));
+                sim.queue.schedule(sim.now + 2.0, Event::MonitorTick(sid));
+            }),
+            ("VM table longer than the arrivals", |sim| {
+                let mut vm = sim.cluster.vms[0].clone();
+                vm.id = VmId(sim.cluster.vms.len() as u32);
+                vm.state = VmState::Departed;
+                sim.cluster.vms.push(vm);
+            }),
         ];
         for (what, edit) in cases {
             match restore(edit) {
@@ -3471,30 +3516,40 @@ mod tests {
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         }
+        // Settling stops a chain whose next tick lies past the end of
+        // the run, so no engine stores one parked: write the anchor of
+        // a parked chain into the `engine` section by hand (after the
+        // accrual clock, the episode count and 20 B per episode).
+        let mut sim = at_hour_1();
+        sim.settle_parked_chains();
+        let i = sim.parked[0] as usize;
+        let ckpt = sim.snapshot("t", 0);
+        let mut engine = ckpt.section("engine").expect("engine").to_vec();
+        let at = 16 + 20 * sim.overloads.len() + 8 * i;
+        engine[at..at + 8].copy_from_slice(&sim.config.duration_secs.to_le_bytes());
+        assert!(
+            matches!(
+                restore_ckpt(&with_section(&ckpt, "engine", &engine)),
+                Err(CheckpointError::Corrupt(_))
+            ),
+            "parked past the end"
+        );
     }
 
-    /// A snapshot whose ids point past the fleet, the VM table, the
-    /// spawn list or the trace set is refused with `Corrupt`, naming
-    /// the section and the id, instead of panicking on an index once
-    /// the run goes on. Each case writes one such id into a running
-    /// engine's state, one section at a time, and snapshots it.
+    /// A snapshot whose ids point past the fleet, the VM table or the
+    /// trace set is refused with `Corrupt`, naming the section and the
+    /// id, instead of panicking on an index once the run goes on. Each
+    /// case writes one such id into a running engine's state, one
+    /// section at a time, and snapshots it.
     #[test]
     fn hostile_ids_are_refused_per_section() {
         type Sim = Simulation<FirstFit>;
-        let make = || {
-            let mut config = quick_config();
-            config.control_plane = crate::config::ControlPlaneConfig::lan(3);
-            (
-                Fleet::uniform(6, 6),
-                Workload::all_vms_from_start(small_traces(8)),
-                config,
-            )
-        };
+        let make = lan_scenario;
         let (fleet, workload, config) = make();
         let mut base = Simulation::new(fleet, workload, config, FirstFit);
         while base.now() < 3600.0 && base.step().is_some() {}
         let restore = |sim: &Sim| {
-            let ckpt = sim.checkpoint("t", 0);
+            let ckpt = sim.snapshot("t", 0);
             let (fleet, workload, config) = make();
             Simulation::restore_from(fleet, workload, config, FirstFit, &ckpt, "t")
         };
@@ -3527,22 +3582,16 @@ mod tests {
             (
                 "engine",
                 Box::new(|s| {
-                    s.overload_active.insert(999);
-                }),
-            ),
-            (
-                "engine",
-                Box::new(|s| {
-                    s.alive_vms.insert(999);
+                    s.overloads.push(Overload {
+                        server: 999,
+                        since: s.now,
+                        accrued_to: s.now,
+                    })
                 }),
             ),
             (
                 "cluster",
                 Box::new(|s| s.cluster.servers[0].vms.push(VmId(999))),
-            ),
-            (
-                "cluster",
-                Box::new(|s| s.cluster.vms[0].state = VmState::Hosted { host: bad }),
             ),
             (
                 "cluster",
@@ -3561,10 +3610,6 @@ mod tests {
             (
                 "queue",
                 Box::new(|s| s.queue.schedule(s.now, Event::Departure(VmId(999)))),
-            ),
-            (
-                "queue",
-                Box::new(|s| s.queue.schedule(s.now, Event::Spawn(999))),
             ),
             (
                 "control",
@@ -3627,26 +3672,107 @@ mod tests {
         }
     }
 
+    /// Seeded single-bit flips in the `engine`, `queue` and `monitor`
+    /// sections of a snapshot at hour 1, each re-sealed with a valid
+    /// checksum: every flip is refused, or restores into a run that
+    /// reaches its end within a step cap and passes the end-of-run
+    /// laws. No flip may panic (the debug round-trip oracle included)
+    /// or hang, in debug and release builds alike. The first fixture is
+    /// that of [`hostile_ids_are_refused_per_section`]; the second, an
+    /// open system with light faults and a policy whose chains park,
+    /// puts pending arrivals, the fault RNG and parked chains in the
+    /// flipped sections.
+    #[test]
+    fn flipped_snapshot_bits_are_refused_or_run_to_the_end() {
+        assert_flips_refused_or_run(lan_scenario, || FirstFit, 27);
+        let open_faulty = || {
+            let (fleet, _, mut config) = lan_scenario();
+            config.faults = crate::config::FaultConfig::light(3);
+            let process = ecocloud_traces::ArrivalProcess {
+                base_rate_per_sec: 20.0 / 3600.0,
+                envelope: ecocloud_traces::DiurnalEnvelope::flat(),
+                mean_lifetime_secs: 1800.0,
+            };
+            let workload = Workload::churn(small_traces(8), 4, &process, 7200.0, 9);
+            (fleet, workload, config)
+        };
+        assert_flips_refused_or_run(open_faulty, || QuietFirstFit, 28);
+    }
+
+    /// The check of
+    /// [`flipped_snapshot_bits_are_refused_or_run_to_the_end`] for the
+    /// scenario `make` run by `policy`, with bits drawn from `seed`.
+    fn assert_flips_refused_or_run<P: Policy>(
+        make: impl Fn() -> (Fleet, Workload, SimConfig) + std::panic::RefUnwindSafe,
+        policy: impl Fn() -> P + std::panic::RefUnwindSafe,
+        seed: u64,
+    ) {
+        const FLIPS_PER_SECTION: usize = 450;
+        let (fleet, workload, config) = make();
+        let mut sim = Simulation::new(fleet, workload, config, policy());
+        while sim.now() < 3600.0 && sim.step().is_some() {}
+        let ckpt = sim.checkpoint("t", 0);
+        let mut honest_steps = 0;
+        while sim.step().is_some() {
+            honest_steps += 1;
+        }
+        let cap = 10 * honest_steps;
+        // `Ok(true)`: refused or ran to the end; `Ok(false)`: hit the cap.
+        let outcome = |bad: &Checkpoint<'_>| {
+            std::panic::catch_unwind(|| {
+                let (fleet, workload, config) = make();
+                let Ok(mut sim) =
+                    Simulation::restore_from(fleet, workload, config, policy(), bad, "t")
+                else {
+                    return true;
+                };
+                let mut steps = 0;
+                while sim.step().is_some() {
+                    steps += 1;
+                    if steps > cap {
+                        return false;
+                    }
+                }
+                sim.finish();
+                true
+            })
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut failed = Vec::new();
+        for section in ["engine", "queue", "monitor"] {
+            let good = ckpt.section(section).expect("section").to_vec();
+            for _ in 0..FLIPS_PER_SECTION {
+                let bit = rng.gen_range(0..good.len() * 8);
+                let mut bad = good.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match outcome(&with_section(&ckpt, section, &bad)) {
+                    Ok(true) => {}
+                    Ok(false) => failed.push(format!("{section} bit {bit}: step cap")),
+                    Err(_) => failed.push(format!("{section} bit {bit}: panic")),
+                }
+            }
+        }
+        assert!(
+            failed.is_empty(),
+            "{} of {} flips failed: {failed:#?}",
+            failed.len(),
+            3 * FLIPS_PER_SECTION
+        );
+    }
+
     /// A snapshot whose ids are each in range but disagree with each
     /// other is refused with `Corrupt`, naming the VM and the server,
     /// in release builds as in debug ones: the VM table and the server
     /// lists are cross-checked as the `cluster` section is decoded,
     /// before the debug-only round-trip oracle and its invariant
-    /// check. The first case is an honest snapshot with one field
-    /// rewritten — VM 0's host, set to another valid server — and a
-    /// valid checksum.
+    /// check. A VM's host is not stored (it is the server that lists
+    /// it), so what is left to contradict is whether a VM is listed:
+    /// twice, not at all while alive, while not alive, or by a failed
+    /// server.
     #[test]
     fn inconsistent_hosting_is_refused_in_every_build() {
         type Sim = Simulation<FirstFit>;
-        let make = || {
-            let mut config = quick_config();
-            config.control_plane = crate::config::ControlPlaneConfig::lan(3);
-            (
-                Fleet::uniform(6, 6),
-                Workload::all_vms_from_start(small_traces(8)),
-                config,
-            )
-        };
+        let make = lan_scenario;
         let at_hour_1 = || {
             let (fleet, workload, config) = make();
             let mut sim = Simulation::new(fleet, workload, config, FirstFit);
@@ -3662,19 +3788,10 @@ mod tests {
         let VmState::Hosted { host } = honest.cluster.vms[0].state else {
             panic!("VM 0 is hosted at hour 1");
         };
-        let other = ServerId((host.0 + 1) % 6);
-        let honest = honest.checkpoint("t", 0).to_bytes();
-        assert_eq!(restore(&honest), Ok(()));
+        assert_eq!(restore(&honest.checkpoint("t", 0).to_bytes()), Ok(()));
 
         type Mutation = Box<dyn Fn(&mut Sim)>;
         let cases: Vec<(Mutation, String)> = vec![
-            (
-                Box::new(move |s| s.cluster.vms[0].state = VmState::Hosted { host: other }),
-                format!(
-                    "VM vm0 is listed on server {host} but its state is {:?}",
-                    VmState::Hosted { host: other }
-                ),
-            ),
             (
                 Box::new(move |s| s.cluster.servers[host.index()].vms.push(VmId(0))),
                 format!("VM vm0 is listed on server {host} and again on server {host}"),
@@ -3685,7 +3802,11 @@ mod tests {
                         .vms
                         .retain(|&v| v != VmId(0))
                 }),
-                format!("VM vm0 executes on server {host} but is not in its list"),
+                "VM vm0 is alive but in no server's list".to_string(),
+            ),
+            (
+                Box::new(|s| s.cluster.vms[0].state = VmState::Departed),
+                format!("VM vm0 is listed on server {host} but is not alive"),
             ),
             (
                 Box::new(move |s| {
@@ -3698,19 +3819,7 @@ mod tests {
         for (i, (mutate, want)) in cases.into_iter().enumerate() {
             let mut sim = at_hour_1();
             mutate(&mut sim);
-            let bytes = sim.checkpoint("t", 0).to_bytes();
-            if i == 0 {
-                // Only VM 0's 4-byte host id and the checksum changed.
-                let differ: Vec<usize> = (0..bytes.len())
-                    .filter(|&j| bytes[j] != honest[j])
-                    .collect();
-                let body = bytes.len() - 8;
-                let host_bytes: Vec<usize> = differ.iter().copied().filter(|&j| j < body).collect();
-                assert!(
-                    !host_bytes.is_empty() && host_bytes[host_bytes.len() - 1] - host_bytes[0] < 4,
-                    "rewrite touched bytes {host_bytes:?}"
-                );
-            }
+            let bytes = sim.snapshot("t", 0).to_bytes();
             match restore(&bytes) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(
                     msg.contains("section 'cluster'") && msg.contains(&want),

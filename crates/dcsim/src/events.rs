@@ -105,7 +105,7 @@ pub enum Event {
 impl Event {
     /// Checkpoint encoding: a one-byte variant tag plus the payload
     /// fields. Tags are part of the on-disk format — append new
-    /// variants, never renumber.
+    /// variants, never renumber. Spawns are not stored (tag 2 is free).
     pub(crate) fn encode(&self, e: &mut Enc) {
         match *self {
             Event::DemandUpdate => e.u8(0),
@@ -113,10 +113,7 @@ impl Event {
                 e.u8(1);
                 e.u32(s.0);
             }
-            Event::Spawn(i) => {
-                e.u8(2);
-                e.usize(i);
-            }
+            Event::Spawn(_) => unreachable!("queued spawns are re-filed from the workload"),
             Event::Departure(v) => {
                 e.u8(3);
                 e.u32(v.0);
@@ -170,18 +167,14 @@ impl Event {
     }
 
     /// Checkpoint decoding, inverse of [`encode`](Self::encode). Every
-    /// server, VM and spawn id is checked against `ids`; exchange ids
-    /// are looked up, never indexed, so an unknown one is only stale.
+    /// server and VM id is checked against `ids`; exchange ids are
+    /// looked up, never indexed, so an unknown one is only stale.
     pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
         let server = |d: &mut Dec<'_>| d.id("server", ids.servers).map(ServerId);
         let vm = |d: &mut Dec<'_>| d.id("VM", ids.vms).map(VmId);
         Ok(match d.u8()? {
             0 => Event::DemandUpdate,
             1 => Event::MonitorTick(server(d)?),
-            2 => {
-                let i = d.usize()?;
-                Event::Spawn(d.in_range("spawn", i, ids.spawns)?)
-            }
             3 => Event::Departure(vm(d)?),
             4 => Event::MigrationComplete(vm(d)?, d.u32()?),
             5 => Event::WakeComplete(server(d)?, d.u32()?),
@@ -267,6 +260,10 @@ const GROW_LOAD_FACTOR: usize = 2;
 /// `bucket_of` cannot saturate below ~4,000 simulated years.
 const MIN_SPAN_EXP: i32 = -6;
 const MAX_SPAN_EXP: i32 = 24;
+/// A restored entry lies before `2^36` s, so its bucket index stays
+/// below `2^63` at the finest geometry (`2^21` buckets over `2^-6` s)
+/// and a window end never wraps.
+const HORIZON_SECS: f64 = (1u64 << 36) as f64;
 /// Span of a fresh or restored queue until its first retune.
 const INITIAL_SPAN_EXP: i32 = 9;
 /// Pushes per retune window. Retuning costs O(1) while the measured
@@ -818,10 +815,11 @@ impl EventQueue {
     /// repairs that sit beyond the wheel's window. The wheel itself
     /// starts at `MIN_BUCKETS` over `2^INITIAL_SPAN_EXP` seconds,
     /// doubles while a burst outgrows it, and from the first retune
-    /// on takes its span and bucket count from the measured traffic —
-    /// in both directions, so the ring the 5k-server t = 0 burst grows
-    /// to 8,192 buckets shrinks back to 64 at the first retune after
-    /// the burst drains.
+    /// on takes its span and bucket count from the measured traffic,
+    /// in both directions. A retune window counts calendar pushes only,
+    /// and the monitor chains push to the lane, so the first retune can
+    /// come late: the 8,192-bucket ring the 5k-server t = 0 burst grows
+    /// lasts until t = 48,907 s on the 48 h run (seed 1).
     pub fn with_capacity(hint: usize) -> Self {
         EventQueue {
             cal: Calendar::new(hint),
@@ -1166,21 +1164,16 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Every pending event sorted by `(time, seq)` — the canonical
-    /// form: two queues with the same pending set produce the same
-    /// bytes regardless of which store holds an event and of how their
-    /// wheels, spill heaps, or cursors currently lay the events out,
-    /// which is what makes re-snapshot byte-equality (the restore
-    /// oracle) hold. Sequence numbers are unique, so an unstable sort,
-    /// in place and with no scratch buffer, gives the one order.
-    fn sorted_entries(&self) -> Vec<Scheduled> {
-        let mut entries: Vec<Scheduled> = Vec::with_capacity(self.len);
-        entries.extend(self.entries().copied());
-        debug_assert_eq!(
-            entries.len(),
-            self.len,
-            "queue len out of sync with storage"
-        );
+    /// The pending events that `keep` selects, sorted by `(time, seq)`
+    /// — the canonical form: two queues with the same pending set
+    /// produce the same bytes regardless of which store holds an event
+    /// and of how their wheels, spill heaps, or cursors currently lay
+    /// the events out, which is what makes re-snapshot byte-equality
+    /// (the restore oracle) hold. Sequence numbers are unique, so an
+    /// unstable sort, in place and with no scratch buffer, gives the
+    /// one order.
+    fn sorted_entries(&self, keep: impl Fn(&Scheduled) -> bool) -> Vec<Scheduled> {
+        let mut entries: Vec<Scheduled> = self.entries().filter(|s| keep(s)).copied().collect();
         entries.sort_unstable_by_key(Scheduled::order_key);
         entries
     }
@@ -1191,23 +1184,13 @@ impl EventQueue {
     #[cfg(test)]
     pub(crate) fn snapshot_parts(&self) -> (Vec<(f64, u64, Event)>, u64, f64) {
         (
-            self.sorted_entries()
+            self.sorted_entries(|_| true)
                 .into_iter()
                 .map(|s| (s.t_secs, s.seq, s.event))
                 .collect(),
             self.next_seq,
             self.now_floor,
         )
-    }
-
-    /// An empty queue that continues a captured one: its next event
-    /// gets `next_seq`, and nothing may be scheduled before
-    /// `now_floor`. Fill it with [`restore_entry`](Self::restore_entry).
-    fn restored(capacity: usize, next_seq: u64, now_floor: f64) -> Self {
-        let mut q = Self::with_capacity(capacity);
-        q.next_seq = next_seq;
-        q.now_floor = now_floor;
-        q
     }
 
     /// Files one captured entry, keeping its original sequence number
@@ -1218,7 +1201,7 @@ impl EventQueue {
     /// advanced position, its default geometry until the first retune,
     /// and every entry landing in the calendar (the lane refills as the
     /// restored chains tick) are invisible.
-    fn restore_entry(&mut self, t_secs: f64, seq: u64, event: Event) {
+    pub(crate) fn restore_entry(&mut self, t_secs: f64, seq: u64, event: Event) {
         debug_assert!(
             seq <= 2 * self.next_seq,
             "entry key {seq} was not issued before next_seq {}",
@@ -1237,22 +1220,24 @@ impl EventQueue {
         next_seq: u64,
         now_floor: f64,
     ) -> Self {
-        let mut q = Self::restored(entries.len(), next_seq, now_floor);
+        let mut q = Self::with_capacity(entries.len());
+        q.next_seq = next_seq;
+        q.now_floor = now_floor;
         for &(t_secs, seq, event) in entries {
             q.restore_entry(t_secs, seq, event);
         }
         q
     }
 
-    /// Checkpoint encoding: a reserved zero byte, counters, then the
-    /// canonical `(time, seq, event)` entry list.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        // Reserved, always 0: the byte keeps the section layout of
-        // earlier snapshots, which restore unchanged.
-        e.u8(0);
+    /// Checkpoint encoding: the next number, then the canonical
+    /// `(time, key, event)` list of the entries other than spawns,
+    /// which the engine re-files from its workload.
+    /// The clock floor is the engine's clock `now`, which the snapshot
+    /// header stores.
+    pub(crate) fn encode(&self, e: &mut Enc, now: f64) {
+        debug_assert_eq!(self.now_floor, now, "the queue's clock floor");
         e.u64(self.next_seq);
-        e.f64(self.now_floor);
-        let entries = self.sorted_entries();
+        let entries = self.sorted_entries(|s| !matches!(s.event, Event::Spawn(_)));
         e.usize(entries.len());
         for s in &entries {
             e.f64(s.t_secs);
@@ -1261,40 +1246,60 @@ impl EventQueue {
         }
     }
 
-    /// Checkpoint decoding, inverse of [`encode`](Self::encode); each
-    /// event's ids are checked against `ids`, and each order key against
-    /// the queue's next number: an odd key `2n + 1` needs `n` below it,
-    /// an even key `2w` (a re-armed monitor tick) needs `w` at most it.
-    pub(crate) fn decode(d: &mut Dec<'_>, ids: &IdBounds) -> Result<Self, CheckpointError> {
-        let reserved = d.u8()?;
-        if reserved != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "queue reserved byte is {reserved}, expected 0"
+    /// Inverse of [`encode`](Self::encode) into a fresh queue at clock
+    /// `now`, where numbers below `spawns` are the left-out spawns'.
+    /// Checks each event's ids against `ids`, and refuses what would
+    /// restore and then break the run: a next number below `spawns` or
+    /// whose key `2n + 1` overflows; entries out of the strictly
+    /// increasing `(time, key)` order, before `now` or from
+    /// [`HORIZON_SECS`] on; a spawn's key or one not issued yet; and an
+    /// even (re-armed) key on anything but a `MonitorTick`.
+    pub(crate) fn decode_into(
+        &mut self,
+        d: &mut Dec<'_>,
+        ids: &IdBounds,
+        now: f64,
+        spawns: u64,
+    ) -> Result<(), CheckpointError> {
+        let next_seq = d.u64()?;
+        if next_seq >= 1 << 63 || next_seq < spawns {
+            return Err(d.corrupt(format_args!(
+                "next event number {next_seq} is out of range ({spawns}..2^63)"
             )));
         }
-        let next_seq = d.u64()?;
-        let now_floor = d.f64()?;
+        self.next_seq = next_seq;
+        self.advance_to(now);
         let n = d.usize()?;
         // 17 B minimum per entry: f64 + u64 + 1-byte tag.
         d.check_remaining(n, 17)?;
-        let mut q = Self::restored(n, next_seq, now_floor);
+        let keys = 2 * spawns + 1..=2 * next_seq;
+        let mut last: Option<Scheduled> = None;
         for _ in 0..n {
-            let t = d.f64()?;
-            let seq = d.u64()?;
-            if seq / 2 > next_seq || seq / 2 == next_seq && seq % 2 == 1 {
+            let s = Scheduled {
+                t_secs: d.f64()?,
+                seq: d.u64()?,
+                event: Event::decode(d, ids)?,
+            };
+            if !(now..HORIZON_SECS).contains(&s.t_secs)
+                || !keys.contains(&s.seq)
+                || last.is_some_and(|last| !earlier(&last, &s))
+                || s.seq.is_multiple_of(2) && !matches!(s.event, Event::MonitorTick(_))
+            {
                 return Err(d.corrupt(format_args!(
-                    "event key {seq} was not issued before the next seq {next_seq}"
+                    "queued {:?} at {} s with key {} cannot follow {last:?} \
+                     (clock {now} s, keys {keys:?})",
+                    s.event, s.t_secs, s.seq
                 )));
             }
-            let event = Event::decode(d, ids)?;
-            if seq % 2 == 0 && !matches!(event, Event::MonitorTick(_)) {
-                return Err(d.corrupt(format_args!(
-                    "event key {seq} is a re-armed tick's, but the event is {event:?}"
-                )));
-            }
-            q.restore_entry(t, seq, event);
+            self.restore_entry(s.t_secs, s.seq, s.event);
+            last = Some(s);
         }
-        Ok(q)
+        Ok(())
+    }
+
+    /// Every pending event as `(time, key, event)`, unordered.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = (f64, u64, Event)> + '_ {
+        self.entries().map(|s| (s.t_secs, s.seq, s.event))
     }
 
     /// Files `event` at `t_secs` with the next sequence number straight
@@ -1344,7 +1349,6 @@ mod tests {
     const ANY_IDS: IdBounds = IdBounds {
         servers: usize::MAX,
         vms: usize::MAX,
-        spawns: usize::MAX,
     };
 
     /// The snapshot sort key orders entries exactly as `total_cmp` on
@@ -1587,10 +1591,13 @@ mod tests {
 
         // Byte codec round-trips to the same canonical parts too.
         let mut e = Enc::new();
-        q.encode(&mut e);
+        q.encode(&mut e, now_floor);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes, "queue");
-        let mut decoded = EventQueue::decode(&mut d, &ANY_IDS).expect("queue decodes");
+        let mut decoded = EventQueue::new();
+        decoded
+            .decode_into(&mut d, &ANY_IDS, now_floor, 0)
+            .expect("queue decodes");
         d.finish().expect("queue section fully consumed");
         assert_eq!(decoded.snapshot_parts(), (entries, next_seq, now_floor));
 
@@ -1632,11 +1639,11 @@ mod tests {
         // Many simultaneous events in the same bucket (beyond
         // SLOT_CAP, forcing the spill heap) with interleaved seqs.
         let mut q = EventQueue::new();
-        for i in 0..3 * SLOT_CAP {
-            q.schedule(2.5, Event::Spawn(i));
+        for i in 0..3 * SLOT_CAP as u32 {
+            q.schedule(2.5, Event::HibernateCheck(ServerId(i)));
             q.schedule(
                 2.5 + pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64,
-                Event::Spawn(1000 + i),
+                Event::HibernateCheck(ServerId(1000 + i)),
             );
         }
         assert_snapshot_roundtrips(q);
@@ -1650,7 +1657,7 @@ mod tests {
         // (time, seq).
         let mut q = EventQueue::new();
         for i in 0..50 {
-            q.schedule(i as f64 * 37.0, Event::Spawn(i));
+            q.schedule(i as f64 * 37.0, Event::Departure(VmId(i)));
         }
         q.schedule(5000.0, Event::Departure(VmId(1)));
         for _ in 0..20 {
@@ -1663,22 +1670,73 @@ mod tests {
         assert_snapshot_roundtrips(q);
     }
 
-    /// The queue section's reserved byte must read 0; anything else is
-    /// a corrupt checkpoint, reported as an error, never a panic.
+    /// The queue decoder refuses, as `Corrupt`, entries that would
+    /// restore and then break the run. Each case edits a valid section:
+    /// a next number whose key overflows or that is below the spawns',
+    /// a duplicate or reordered entry, an entry before the clock or
+    /// past the horizon, and a key that is a spawn's.
     #[test]
-    fn decode_rejects_nonzero_reserved_byte() {
+    fn decode_refuses_entries_that_break_the_run() {
         let mut q = EventQueue::new();
-        q.schedule(30.0, Event::MonitorTick(ServerId(0)));
+        for s in 0..4 {
+            q.schedule(100.0 + s as f64, Event::MonitorTick(ServerId(s)));
+        }
         let mut e = Enc::new();
-        q.encode(&mut e);
-        let mut bytes = e.into_bytes();
-        assert_eq!(bytes[0], 0);
-        assert!(EventQueue::decode(&mut Dec::new(&bytes, "queue"), &ANY_IDS).is_ok());
-        bytes[0] = 1;
-        assert!(matches!(
-            EventQueue::decode(&mut Dec::new(&bytes, "queue"), &ANY_IDS),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        q.encode(&mut e, 0.0);
+        let good = e.into_bytes();
+        let decode = |bytes: &[u8], now: f64, spawns: u64| {
+            let mut d = Dec::new(bytes, "queue");
+            EventQueue::new().decode_into(&mut d, &ANY_IDS, now, spawns)?;
+            d.finish()
+        };
+        assert_eq!(decode(&good, 100.0, 0), Ok(()));
+        // next number (8 B), count (8 B), then 21 B per entry: time,
+        // key, tag and server.
+        let entry = |i: usize| 16 + 21 * i;
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let mut swapped = good.clone();
+        swapped[entry(1)..entry(3)]
+            .copy_from_slice(&[&good[entry(2)..entry(3)], &good[entry(1)..entry(2)]].concat());
+        let cases = [
+            ("key overflows", patched(0, &(1u64 << 63).to_le_bytes()), 0),
+            ("next below the spawns", good.clone(), 5),
+            ("key is a spawn's", good.clone(), 2),
+            ("entries reordered", swapped, 0),
+            (
+                "duplicate entry",
+                patched(entry(1), &good[entry(0)..entry(1)]),
+                0,
+            ),
+            (
+                "before the clock",
+                patched(entry(0), &99.0f64.to_le_bytes()),
+                0,
+            ),
+            ("NaN time", patched(entry(3), &f64::NAN.to_le_bytes()), 0),
+            (
+                "past the horizon",
+                patched(entry(3), &4.2e80f64.to_le_bytes()),
+                0,
+            ),
+            (
+                "key not issued",
+                patched(entry(3) + 8, &9u64.to_le_bytes()),
+                0,
+            ),
+        ];
+        for (what, bytes, spawns) in cases {
+            assert!(
+                matches!(
+                    decode(&bytes, 100.0, spawns),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -1686,7 +1744,6 @@ mod tests {
         let all = [
             Event::DemandUpdate,
             Event::MonitorTick(ServerId(3)),
-            Event::Spawn(42),
             Event::Departure(VmId(9)),
             Event::MigrationComplete(VmId(1), 2),
             Event::WakeComplete(ServerId(4), 5),
