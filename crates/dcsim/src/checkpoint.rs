@@ -1,4 +1,5 @@
-//! Crash-safe checkpoint/restore for the simulation engine.
+//! Crash-safe checkpoint/restore for the simulation engine, and the
+//! sealed container that every file the repo reads back is written in.
 //!
 //! A checkpoint is a versioned, self-describing snapshot of the
 //! *entire* deterministic state of a [`crate::Simulation`] — cluster
@@ -17,24 +18,32 @@
 //!
 //! # File format
 //!
-//! Little-endian throughout:
+//! Checkpoints, sweep artifacts (`.ecor`) and trace files (`ECOT`)
+//! share one container ([`Sealed`]) and one bounded decoder ([`Dec`]).
+//! Each [`FileKind`] has its own magic and layout version; the rest is
+//! common. Little-endian throughout:
 //!
 //! ```text
-//! magic            8 B   b"ECOCKPT1"
-//! format version   u32   bumped on any layout change
+//! magic            per kind: b"ECOCKPT1", b"ECOR" or b"ECOT"
+//! format version   u16   per kind; bumped on any layout change
 //! total length     u64   length of the whole file, trailer included
-//! crate version    str   (u32 len + UTF-8 bytes)
-//! spec             str   caller-supplied run identity (RunSpec canonical)
-//! sequence number  u64   monotonic per run; later snapshot = larger seq
-//! sim time         f64   simulated seconds at capture (raw bits)
 //! section count    u32
-//!   per section:   name str, u32 byte length, payload bytes
+//!   per section:   name str (u32 len + UTF-8 bytes), u32 byte length,
+//!                  payload bytes
 //! checksum         u64   word-wise sum over everything above (`checksum`)
 //! ```
 //!
+//! A checkpoint's first section, `identity`, holds the crate version,
+//! the caller-supplied run spec (`RunSpec` canonical), the sequence
+//! number (monotonic per run) and the simulated time at capture; the
+//! state sections follow it.
+//!
 //! The total-length field makes torn writes (truncation at any byte)
 //! detectable without parsing; the checksum catches bit rot and
-//! interior corruption. Scalars use fixed-width little-endian encoding
+//! interior corruption. The version follows the magic directly, so the
+//! files written before a kind was sealed (a `u32` version in a
+//! checkpoint, a `u16` one in a trace file) are refused by their
+//! version number. Scalars use fixed-width little-endian encoding
 //! and floats round-trip through `to_bits`/`from_bits`, so a value is
 //! restored to the exact bit pattern that was captured — the
 //! foundation of the byte-identical resume guarantee.
@@ -51,19 +60,37 @@
 //! stale-but-valid snapshot from the wrong run must never silently
 //! seed a resume.
 
+use ecocloud_metrics::TimeSeries;
 use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
+use std::iter;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// On-disk magic. The trailing `1` doubles as a human-visible layout
-/// generation; [`FORMAT_VERSION`] is the machine-checked one.
-const MAGIC: &[u8; 8] = b"ECOCKPT1";
+/// A kind of sealed file: the magic it starts with and the one layout
+/// version of it this build reads and writes.
+#[derive(Debug, Clone, Copy)]
+pub struct FileKind {
+    /// Leading bytes that identify the kind.
+    pub magic: &'static [u8],
+    /// Layout version, bumped on any change to the kind's sections.
+    pub version: u16,
+    /// What the kind is called in errors.
+    pub name: &'static str,
+}
 
 /// Bumped whenever the byte layout of any section changes.
-const FORMAT_VERSION: u32 = 5;
+const FORMAT_VERSION: u16 = 6;
+
+/// Checkpoints. The magic's trailing `1` doubles as a human-visible
+/// layout generation; [`FORMAT_VERSION`] is the machine-checked one.
+const CHECKPOINT: FileKind = FileKind {
+    magic: b"ECOCKPT1",
+    version: FORMAT_VERSION,
+    name: "checkpoint",
+};
 
 /// Version of the code that wrote a snapshot. Restoring across crate
 /// versions is refused: state layout is an internal detail and the
@@ -73,18 +100,19 @@ pub const CRATE_VERSION: &str = match option_env!("CARGO_PKG_VERSION") {
     None => "0.1.0",
 };
 
-/// Why a snapshot could not be written, read, or restored.
+/// Why a sealed file (a snapshot, a sweep artifact, a trace file)
+/// could not be written, read, or restored.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
     /// Filesystem error; carries the path and the OS error text.
     Io(String),
     /// The file is shorter than its recorded length (torn write).
     Truncated(String),
-    /// The file does not start with the checkpoint magic.
+    /// The file does not start with its kind's magic.
     BadMagic(String),
     /// The checksum trailer does not match the content.
     BadChecksum(String),
-    /// The snapshot was written under a different byte layout.
+    /// The file was written under a different byte layout.
     FormatVersionMismatch {
         /// Version found in the file.
         found: u32,
@@ -113,13 +141,13 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
-            Self::Truncated(msg) => write!(f, "checkpoint truncated: {msg}"),
-            Self::BadMagic(msg) => write!(f, "not a checkpoint file: {msg}"),
-            Self::BadChecksum(msg) => write!(f, "checkpoint checksum mismatch: {msg}"),
+            Self::Io(msg) => write!(f, "I/O error: {msg}"),
+            Self::Truncated(msg) => write!(f, "truncated: {msg}"),
+            Self::BadMagic(msg) => write!(f, "bad magic: {msg}"),
+            Self::BadChecksum(msg) => write!(f, "checksum mismatch: {msg}"),
             Self::FormatVersionMismatch { found, expected } => write!(
                 f,
-                "checkpoint format version {found} is not the supported version {expected}"
+                "format version {found} is not the supported version {expected}"
             ),
             Self::CrateVersionMismatch { found, expected } => write!(
                 f,
@@ -129,7 +157,7 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint belongs to a different run:\n  snapshot spec: {found}\n  resume spec:   {expected}"
             ),
-            Self::Corrupt(msg) => write!(f, "checkpoint corrupt: {msg}"),
+            Self::Corrupt(msg) => write!(f, "corrupt: {msg}"),
         }
     }
 }
@@ -164,7 +192,7 @@ fn mix(h: u64, word: u64) -> u64 {
     (h ^ (h >> 32)).wrapping_mul(FNV_PRIME)
 }
 
-/// The snapshot checksum. Little-endian 64-bit words go alternately
+/// The container checksum. Little-endian 64-bit words go alternately
 /// to two lanes that start from FNV-1a's offset basis and its
 /// complement (two independent multiply chains run twice as fast as
 /// one), the second lane is mixed into the first, then any odd word,
@@ -197,7 +225,7 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 /// Byte encoder: fixed-width little-endian scalars, floats as raw bits.
 #[derive(Debug, Default)]
-pub(crate) struct Enc {
+pub struct Enc {
     buf: Vec<u8>,
 }
 
@@ -223,23 +251,28 @@ impl Enc {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, x: u64) {
+    /// A `u64`.
+    pub fn u64(&mut self, x: u64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
-    pub(crate) fn usize(&mut self, x: usize) {
+    /// A `usize`, as a `u64`.
+    pub fn usize(&mut self, x: usize) {
         self.u64(x as u64);
     }
 
-    pub(crate) fn f64(&mut self, x: f64) {
+    /// An `f64`, as its bits.
+    pub fn f64(&mut self, x: f64) {
         self.u64(x.to_bits());
     }
 
-    pub(crate) fn f32(&mut self, x: f32) {
+    /// An `f32`, as its bits.
+    pub fn f32(&mut self, x: f32) {
         self.u32(x.to_bits());
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
+    /// A string: its `u32` byte length, then its UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -261,7 +294,8 @@ impl Enc {
         }
     }
 
-    pub(crate) fn u64s(&mut self, xs: &[u64]) {
+    /// A `u64` list: its `usize` count, then the values.
+    pub fn u64s(&mut self, xs: &[u64]) {
         self.usize(xs.len());
         for &x in xs {
             self.u64(x);
@@ -273,6 +307,13 @@ impl Enc {
         for &x in xs {
             self.u32(x);
         }
+    }
+
+    /// A time series: its name, its timestamps and its values.
+    pub fn series(&mut self, s: &TimeSeries) {
+        self.str(s.name());
+        self.f64s(s.times_secs());
+        self.f64s(s.values());
     }
 }
 
@@ -291,7 +332,7 @@ pub(crate) struct IdBounds {
 /// past the end of a section yields [`CheckpointError::Corrupt`] (the
 /// envelope's length + checksum have already ruled out torn files).
 #[derive(Debug)]
-pub(crate) struct Dec<'a> {
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
     /// Section name, for error context.
@@ -342,10 +383,7 @@ impl<'a> Dec<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(CheckpointError::Corrupt(format!(
-                "section '{}': invalid bool byte {other}",
-                self.what
-            ))),
+            other => Err(self.corrupt(format_args!("invalid bool byte {other}"))),
         }
     }
 
@@ -353,21 +391,21 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// A `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    pub(crate) fn usize(&mut self) -> Result<usize, CheckpointError> {
+    /// A `usize` written as a `u64`; one past the address space is
+    /// [`CheckpointError::Corrupt`].
+    pub fn usize(&mut self) -> Result<usize, CheckpointError> {
         let x = self.u64()?;
-        usize::try_from(x).map_err(|_| {
-            CheckpointError::Corrupt(format!(
-                "section '{}': length {x} exceeds the address space",
-                self.what
-            ))
-        })
+        usize::try_from(x)
+            .map_err(|_| self.corrupt(format_args!("length {x} exceeds the address space")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
+    /// An `f64`, from its bits.
+    pub fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
@@ -375,12 +413,12 @@ impl<'a> Dec<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, CheckpointError> {
+    /// A string written by [`Enc::str`].
+    pub fn str(&mut self) -> Result<String, CheckpointError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| {
-            CheckpointError::Corrupt(format!("section '{}': non-UTF-8 string", self.what))
-        })
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| self.corrupt(format_args!("non-UTF-8 string")))
     }
 
     pub(crate) fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
@@ -406,7 +444,8 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
+    /// A `u64` list written by [`Enc::u64s`].
+    pub fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
         let n = self.usize()?;
         Ok(self
             .chunks::<8>(n)?
@@ -415,7 +454,8 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
+    /// A `u32` list: its `usize` count, then the values.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
         let n = self.usize()?;
         self.u32s_of(n)
     }
@@ -427,6 +467,32 @@ impl<'a> Dec<'a> {
             .iter()
             .map(|&b| u32::from_le_bytes(b))
             .collect())
+    }
+
+    /// A time series written by [`Enc::series`]. Its timestamps must be
+    /// in order and not NaN, as [`TimeSeries::push`] requires.
+    pub fn series(&mut self) -> Result<TimeSeries, CheckpointError> {
+        let name = self.str()?;
+        let (t, v) = (self.f64s()?, self.f64s()?);
+        TimeSeries::from_parts(name, t, v).map_err(|why| self.corrupt(format_args!("{why}")))
+    }
+
+    /// A list written as its `usize` count followed by the items, each
+    /// read by `item` from at least `min_bytes` bytes. The count comes
+    /// from the section, so it is checked against the bytes left before
+    /// it sizes the list.
+    pub fn list<T>(
+        &mut self,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.usize()?;
+        self.check_remaining(n, min_bytes.max(1))?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
 
     /// The next `n` fixed-width scalars as `N`-byte chunks, for the
@@ -455,7 +521,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A [`CheckpointError::Corrupt`] that names this section.
-    pub(crate) fn corrupt(&self, why: fmt::Arguments<'_>) -> CheckpointError {
+    pub fn corrupt(&self, why: fmt::Arguments<'_>) -> CheckpointError {
         CheckpointError::Corrupt(format!("section '{}': {why}", self.what))
     }
 
@@ -485,9 +551,8 @@ impl<'a> Dec<'a> {
     pub(crate) fn check_remaining(&self, n: usize, elem: usize) -> Result<(), CheckpointError> {
         let have = self.buf.len() - self.pos;
         if n.checked_mul(elem).is_none_or(|need| need > have) {
-            return Err(CheckpointError::Corrupt(format!(
-                "section '{}': claims {n} elements of at least {elem} B but only {have} B remain",
-                self.what
+            return Err(self.corrupt(format_args!(
+                "claims {n} elements of at least {elem} B but only {have} B remain"
             )));
         }
         Ok(())
@@ -495,7 +560,7 @@ impl<'a> Dec<'a> {
 
     /// Asserts the section was consumed exactly — trailing bytes mean
     /// the writer and reader disagree about the layout.
-    pub(crate) fn finish(self) -> Result<(), CheckpointError> {
+    pub fn finish(self) -> Result<(), CheckpointError> {
         if self.pos != self.buf.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "section '{}' has {} undecoded trailing bytes",
@@ -509,16 +574,204 @@ impl<'a> Dec<'a> {
 
 // ----------------------------------------------------------- container
 
-/// A complete snapshot: identity header plus named state sections.
+/// The named sections of one sealed file.
+///
+/// Each section is a name and a byte range of one buffer: sections
+/// encoded in this process own it, a file decoded by
+/// [`from_bytes`](Self::from_bytes) is read in place, and one loaded
+/// by [`read`](Self::read) owns the bytes it read.
+#[derive(Clone, Default)]
+pub struct Sealed<'a> {
+    buf: Cow<'a, [u8]>,
+    table: Vec<(String, Range<usize>)>,
+}
+
+impl Sealed<'static> {
+    /// Reads and opens the sealed file of `kind` at `path`.
+    pub fn read(path: &Path, kind: &FileKind) -> Result<Self, CheckpointError> {
+        let bytes = fs::read(path)
+            .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
+        let table = open(&bytes, kind, &path.display().to_string())?;
+        Ok(Sealed {
+            buf: Cow::Owned(bytes),
+            table,
+        })
+    }
+}
+
+impl<'a> Sealed<'a> {
+    /// Opens the sealed file of `kind` in `bytes` (checking its
+    /// magic, version, length and checksum) and reads its sections in
+    /// place. `origin` names the source (a path) in errors.
+    pub fn from_bytes(
+        bytes: &'a [u8],
+        kind: &FileKind,
+        origin: &str,
+    ) -> Result<Self, CheckpointError> {
+        Ok(Sealed {
+            table: open(bytes, kind, origin)?,
+            buf: Cow::Borrowed(bytes),
+        })
+    }
+
+    /// Seals the sections, in written order, as a file of `kind`.
+    pub fn to_bytes(&self, kind: &FileKind) -> Vec<u8> {
+        seal(kind, self.sections())
+    }
+
+    /// Appends a section named `name` whose payload `encode` writes
+    /// straight into the buffer.
+    pub fn encode_section(&mut self, name: &str, encode: impl FnOnce(&mut Enc)) {
+        debug_assert!(
+            !self.table.iter().any(|(n, _)| n == name),
+            "duplicate section '{name}'"
+        );
+        let mut e = Enc {
+            buf: std::mem::take(self.buf.to_mut()),
+        };
+        let start = e.buf.len();
+        encode(&mut e);
+        self.table.push((name.to_string(), start..e.buf.len()));
+        self.buf = Cow::Owned(e.buf);
+    }
+
+    /// Appends a section whose payload is `bytes`.
+    pub fn push_section(&mut self, name: &str, bytes: &[u8]) {
+        self.encode_section(name, |e| e.buf.extend_from_slice(bytes));
+    }
+
+    /// A decoder over the section called `name`, naming it in errors.
+    pub fn decoder(&self, name: &str) -> Result<Dec<'_>, CheckpointError> {
+        let (name, range) = self
+            .table
+            .iter()
+            .find(|(n, _)| n == name)
+            .ok_or_else(|| CheckpointError::Corrupt(format!("missing section '{name}'")))?;
+        Ok(Dec::new(&self.buf[range.clone()], name))
+    }
+
+    /// `(name, payload)` pairs in written order.
+    pub fn sections(&self) -> impl Iterator<Item = (&str, &[u8])> + '_ {
+        self.table
+            .iter()
+            .map(|(name, range)| (name.as_str(), &self.buf[range.clone()]))
+    }
+}
+
+/// Two containers are equal when their sections, in order, are —
+/// wherever each one's bytes live.
+impl PartialEq for Sealed<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.sections().eq(other.sections())
+    }
+}
+
+/// Each section's name and length; payloads run to megabytes.
+impl fmt::Debug for Sealed<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.sections().map(|(name, bytes)| (name, bytes.len())))
+            .finish()
+    }
+}
+
+/// The sealed file of `kind` holding `sections` in order.
+fn seal<'s>(kind: &FileKind, sections: impl Iterator<Item = (&'s str, &'s [u8])>) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.buf.extend_from_slice(kind.magic);
+    e.buf.extend_from_slice(&kind.version.to_le_bytes());
+    let total_at = e.buf.len();
+    e.u64(0); // total length and section count backpatched below
+    e.u32(0);
+    let mut count = 0u32;
+    for (name, bytes) in sections {
+        e.str(name);
+        e.u32(bytes.len() as u32);
+        e.buf.extend_from_slice(bytes);
+        count += 1;
+    }
+    let total = (e.buf.len() + 8) as u64;
+    e.buf[total_at..total_at + 8].copy_from_slice(&total.to_le_bytes());
+    e.buf[total_at + 8..total_at + 12].copy_from_slice(&count.to_le_bytes());
+    let sum = checksum(&e.buf);
+    e.u64(sum);
+    e.into_bytes()
+}
+
+/// Checks the envelope of the sealed file of `kind` in `bytes` —
+/// magic, version, recorded length, checksum — and returns its section
+/// table: each section's name and payload range in `bytes`.
+fn open(
+    bytes: &[u8],
+    kind: &FileKind,
+    origin: &str,
+) -> Result<Vec<(String, Range<usize>)>, CheckpointError> {
+    let m = kind.magic.len();
+    let short = |what: &str| {
+        CheckpointError::Truncated(format!(
+            "{origin}: {} bytes is shorter than the {what}",
+            bytes.len()
+        ))
+    };
+    if bytes.get(..m).ok_or_else(|| short("magic"))? != kind.magic {
+        return Err(CheckpointError::BadMagic(format!(
+            "{origin} is not a {}",
+            kind.name
+        )));
+    }
+    // Magic, version and length, then the trailer.
+    let header = m + 2 + 8;
+    if bytes.len() < header + 8 {
+        return Err(short(&format!("{} header", kind.name)));
+    }
+    let word = |at: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(w)
+    };
+    let version = u16::from_le_bytes([bytes[m], bytes[m + 1]]);
+    if version != kind.version {
+        return Err(CheckpointError::FormatVersionMismatch {
+            found: version.into(),
+            expected: kind.version.into(),
+        });
+    }
+    let total = word(m + 2);
+    if total != bytes.len() as u64 {
+        return Err(CheckpointError::Truncated(format!(
+            "{origin}: file is {} bytes but records {total}",
+            bytes.len()
+        )));
+    }
+    let body = bytes.len() - 8;
+    if checksum(&bytes[..body]) != word(body) {
+        return Err(CheckpointError::BadChecksum(origin.to_string()));
+    }
+    // The section table decodes with the shared codec; a payload's
+    // range in `bytes` is `header` past its range in `d`.
+    let mut d = Dec::new(&bytes[header..body], "header");
+    let n_sections = d.u32()? as usize;
+    let mut table = Vec::with_capacity(n_sections.min(64));
+    for _ in 0..n_sections {
+        let name = d.str()?;
+        let len = d.u32()? as usize;
+        d.take(len)?;
+        table.push((name, header + d.pos - len..header + d.pos));
+    }
+    d.finish()?;
+    Ok(table)
+}
+
+// ---------------------------------------------------------- checkpoint
+
+/// A complete snapshot: its identity plus named state sections.
 ///
 /// Sections are opaque byte strings produced by the per-module
 /// encoders; naming them lets the restore oracle report *which* part
-/// of the state diverged instead of a bare "bytes differ". Each
-/// section is a name and a byte range of one buffer: a snapshot
-/// encoded in this process owns it, one decoded by
-/// [`from_bytes`](Self::from_bytes) reads the caller's bytes in place,
-/// and one loaded by [`read`](Self::read) owns the file it read.
-#[derive(Clone)]
+/// of the state diverged instead of a bare "bytes differ". The
+/// identity is sealed as the first section, `identity`, and is not one
+/// of [`sections`](Self::sections).
+#[derive(Clone, PartialEq)]
 pub struct Checkpoint<'a> {
     /// Canonical run identity (e.g. `RunSpec::canonical()`); resuming
     /// under a different spec is refused.
@@ -530,8 +783,7 @@ pub struct Checkpoint<'a> {
     pub seq: u64,
     /// Simulated time at capture, seconds.
     pub sim_time_secs: f64,
-    buf: Cow<'a, [u8]>,
-    sections: Vec<(String, Range<usize>)>,
+    state: Sealed<'a>,
 }
 
 impl Checkpoint<'static> {
@@ -543,21 +795,14 @@ impl Checkpoint<'static> {
             crate_version: CRATE_VERSION.to_string(),
             seq,
             sim_time_secs,
-            buf: Cow::Owned(Vec::new()),
-            sections: Vec::new(),
+            state: Sealed::default(),
         }
     }
 
     /// Reads and parses the snapshot at `path`; the result owns the
     /// file's bytes and reads its sections in place.
     pub fn read(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = fs::read(path)
-            .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-        let parsed = Checkpoint::parse(&bytes, &path.display().to_string())?;
-        Ok(Checkpoint {
-            buf: Cow::Owned(bytes),
-            ..parsed
-        })
+        Self::with_identity(Sealed::read(path, &CHECKPOINT)?)
     }
 
     /// Reads `path`, falling back to `<path>.prev` when `path` is
@@ -588,39 +833,30 @@ impl<'a> Checkpoint<'a> {
     /// Appends a section named `name` whose payload `encode` writes
     /// straight into the snapshot's buffer.
     pub(crate) fn encode_section(&mut self, name: &str, encode: impl FnOnce(&mut Enc)) {
-        debug_assert!(
-            !self.sections.iter().any(|(n, _)| n == name),
-            "duplicate checkpoint section '{name}'"
-        );
-        let mut e = Enc {
-            buf: std::mem::take(self.buf.to_mut()),
-        };
-        let start = e.buf.len();
-        encode(&mut e);
-        self.sections.push((name.to_string(), start..e.buf.len()));
-        self.buf = Cow::Owned(e.buf);
+        self.state.encode_section(name, encode);
     }
 
     /// Appends a named state section.
     #[cfg(test)]
     pub(crate) fn push_section(&mut self, name: &str, bytes: &[u8]) {
-        self.encode_section(name, |e| e.buf.extend_from_slice(bytes));
+        self.state.push_section(name, bytes);
     }
 
     /// Looks up a section's payload by name.
-    pub(crate) fn section(&self, name: &str) -> Result<&[u8], CheckpointError> {
-        self.sections()
-            .find(|&(n, _)| n == name)
-            .map(|(_, b)| b)
-            .ok_or_else(|| CheckpointError::Corrupt(format!("missing section '{name}'")))
+    #[cfg(test)]
+    pub(crate) fn section(&self, name: &str) -> Option<&[u8]> {
+        self.sections().find(|&(n, _)| n == name).map(|(_, b)| b)
     }
 
-    /// `(name, payload)` pairs in written order — the restore oracle
-    /// diffs these.
+    /// A decoder over the section called `name`.
+    pub(crate) fn decoder(&self, name: &str) -> Result<Dec<'_>, CheckpointError> {
+        self.state.decoder(name)
+    }
+
+    /// `(name, payload)` pairs of the state sections in written order —
+    /// the restore oracle diffs these.
     pub fn sections(&self) -> impl Iterator<Item = (&str, &[u8])> + '_ {
-        self.sections
-            .iter()
-            .map(|(name, range)| (name.as_str(), &self.buf[range.clone()]))
+        self.state.sections()
     }
 
     /// Name of the first section whose payload differs from `other`'s
@@ -655,108 +891,46 @@ impl<'a> Checkpoint<'a> {
         Ok(())
     }
 
-    /// Serializes the snapshot to its on-disk byte form (header,
-    /// sections, checksum trailer).
+    /// Serializes the snapshot to its on-disk byte form: the sealed
+    /// `identity` section, then the state sections.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.buf.extend_from_slice(MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.u64(0); // total length backpatched below
-        e.str(&self.crate_version);
-        e.str(&self.spec);
-        e.u64(self.seq);
-        e.f64(self.sim_time_secs);
-        e.u32(self.sections.len() as u32);
-        for (name, bytes) in self.sections() {
-            e.str(name);
-            e.u32(bytes.len() as u32);
-            e.buf.extend_from_slice(bytes);
-        }
-        let total = (e.buf.len() + 8) as u64;
-        e.buf[12..20].copy_from_slice(&total.to_le_bytes());
-        let sum = checksum(&e.buf);
-        e.u64(sum);
-        e.into_bytes()
+        let mut id = Enc::default();
+        id.str(&self.crate_version);
+        id.str(&self.spec);
+        id.u64(self.seq);
+        id.f64(self.sim_time_secs);
+        seal(
+            &CHECKPOINT,
+            iter::once(("identity", id.buf.as_slice())).chain(self.sections()),
+        )
     }
 
     /// Parses the on-disk byte form in place: the sections are ranges
     /// of `bytes`, not copies. `origin` names the source (a path) in
     /// errors.
     pub fn from_bytes(bytes: &'a [u8], origin: &str) -> Result<Self, CheckpointError> {
-        Ok(Checkpoint {
-            buf: Cow::Borrowed(bytes),
-            ..Checkpoint::parse(bytes, origin)?
-        })
+        Self::with_identity(Sealed::from_bytes(bytes, &CHECKPOINT, origin)?)
     }
 
-    /// Checks the envelope of `bytes` and decodes its header and
-    /// section table; the result's buffer is empty, and its section
-    /// ranges index `bytes`.
-    fn parse(bytes: &[u8], origin: &str) -> Result<Checkpoint<'static>, CheckpointError> {
-        // Envelope: magic, format version, recorded length, checksum.
-        if bytes.len() < MAGIC.len() {
-            return Err(CheckpointError::Truncated(format!(
-                "{origin}: {} bytes is shorter than the magic",
-                bytes.len()
-            )));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic(origin.to_string()));
-        }
-        if bytes.len() < 20 + 8 {
-            return Err(CheckpointError::Truncated(format!(
-                "{origin}: {} bytes is shorter than the fixed header",
-                bytes.len()
-            )));
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::FormatVersionMismatch {
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let total = u64::from_le_bytes([
-            bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19],
-        ]);
-        if total != bytes.len() as u64 {
-            return Err(CheckpointError::Truncated(format!(
-                "{origin}: file is {} bytes but records {total}",
-                bytes.len()
-            )));
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let trailer = &bytes[bytes.len() - 8..];
-        let sum = u64::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-            trailer[7],
-        ]);
-        if checksum(body) != sum {
-            return Err(CheckpointError::BadChecksum(origin.to_string()));
-        }
-        // Body decodes with the shared codec past the fixed fields;
-        // a payload's range in `bytes` is 20 past its range in `d`.
-        let mut d = Dec::new(&body[20..], "header");
-        let crate_version = d.str()?;
-        let spec = d.str()?;
-        let seq = d.u64()?;
-        let sim_time_secs = d.f64()?;
-        let n_sections = d.u32()? as usize;
-        let mut sections = Vec::with_capacity(n_sections.min(64));
-        for _ in 0..n_sections {
-            let name = d.str()?;
-            let len = d.u32()? as usize;
-            d.take(len)?;
-            sections.push((name, 20 + d.pos - len..20 + d.pos));
-        }
+    /// The snapshot whose first section in `state` is its identity.
+    fn with_identity(mut state: Sealed<'a>) -> Result<Self, CheckpointError> {
+        let mut d = match state.table.first() {
+            Some((name, range)) if name == "identity" => Dec::new(&state.buf[range.clone()], name),
+            _ => {
+                return Err(CheckpointError::Corrupt(
+                    "the first section is not 'identity'".to_string(),
+                ))
+            }
+        };
+        let (crate_version, spec, seq, sim_time_secs) = (d.str()?, d.str()?, d.u64()?, d.f64()?);
         d.finish()?;
+        state.table.remove(0);
         Ok(Checkpoint {
             spec,
             crate_version,
             seq,
             sim_time_secs,
-            buf: Cow::Borrowed(&[]),
-            sections,
+            state,
         })
     }
 
@@ -806,19 +980,7 @@ impl<'a> Checkpoint<'a> {
     }
 }
 
-/// Two snapshots are equal when their headers and their sections, in
-/// order, are — wherever each one's bytes live.
-impl PartialEq for Checkpoint<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.spec == other.spec
-            && self.crate_version == other.crate_version
-            && self.seq == other.seq
-            && self.sim_time_secs == other.sim_time_secs
-            && self.sections().eq(other.sections())
-    }
-}
-
-/// The header and each section's name and length; payloads run to
+/// The identity and each section's name and length; payloads run to
 /// megabytes.
 impl fmt::Debug for Checkpoint<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -827,13 +989,7 @@ impl fmt::Debug for Checkpoint<'_> {
             .field("crate_version", &self.crate_version)
             .field("seq", &self.seq)
             .field("sim_time_secs", &self.sim_time_secs)
-            .field(
-                "sections",
-                &self
-                    .sections()
-                    .map(|(name, bytes)| (name, bytes.len()))
-                    .collect::<Vec<_>>(),
-            )
+            .field("sections", &self.state)
             .finish()
     }
 }
@@ -861,8 +1017,8 @@ mod tests {
 
     /// `bytes` with its version field set to `version` and the
     /// checksum recomputed, so the version gate is what fires.
-    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    fn with_version(mut bytes: Vec<u8>, version: u16) -> Vec<u8> {
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
         let sum = checksum(&bytes[..bytes.len() - 8]);
         let n = bytes.len();
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
@@ -919,8 +1075,8 @@ mod tests {
         assert_eq!(
             err,
             CheckpointError::FormatVersionMismatch {
-                found: FORMAT_VERSION + 1,
-                expected: FORMAT_VERSION
+                found: u32::from(FORMAT_VERSION) + 1,
+                expected: u32::from(FORMAT_VERSION)
             }
         );
         assert!(!err.recoverable(), "version mismatch must not fall back");
@@ -933,18 +1089,47 @@ mod tests {
     /// flags with the `monitor` section's chain states and re-keyed the
     /// queue for re-armed ticks; format 5 stopped storing what the
     /// decoders rebuild (queued spawns, the alive set, VM hosts,
-    /// reservation counts, scheduled chains, clock copies). All four
-    /// must be refused by the version gate, not decoded.
+    /// reservation counts, scheduled chains, clock copies); format 6
+    /// moved the identity from the envelope into the `identity`
+    /// section and the version from a `u32` to a `u16`. All five must
+    /// be refused by the version gate, not decoded — including a
+    /// header laid out as formats 1–5 wrote it, with a `u32` version.
     #[test]
     fn format_1_snapshots_are_refused() {
-        assert_eq!(FORMAT_VERSION, 5);
-        for found in [1, 2, 3, 4] {
+        assert_eq!(FORMAT_VERSION, 6);
+        for found in 1..=5u16 {
+            let refused = Err(CheckpointError::FormatVersionMismatch {
+                found: found.into(),
+                expected: 6,
+            });
             let bytes = with_version(sample().to_bytes(), found);
-            assert_eq!(
-                Checkpoint::from_bytes(&bytes, "mem"),
-                Err(CheckpointError::FormatVersionMismatch { found, expected: 5 })
-            );
+            assert_eq!(Checkpoint::from_bytes(&bytes, "mem"), refused);
+            let mut old = sample().to_bytes();
+            old[8..12].copy_from_slice(&u32::from(found).to_le_bytes());
+            assert_eq!(Checkpoint::from_bytes(&old, "mem"), refused);
         }
+    }
+
+    /// A checkpoint's identity is its first section; a sealed file
+    /// without one is not a checkpoint.
+    #[test]
+    fn identity_must_be_the_first_section() {
+        let mut state = Sealed::default();
+        state.push_section("alpha", &[1, 2, 3]);
+        let bytes = state.to_bytes(&CHECKPOINT);
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes, "mem"),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        let other = FileKind {
+            magic: b"ECOT",
+            version: FORMAT_VERSION,
+            name: "trace file",
+        };
+        assert!(matches!(
+            Checkpoint::from_bytes(&state.to_bytes(&other), "mem"),
+            Err(CheckpointError::BadMagic(_))
+        ));
     }
 
     /// The sum's layout: two lanes of words, the lane merge, the odd
@@ -1070,6 +1255,11 @@ mod tests {
         e.f64s(&[1.0, 2.0]);
         e.u64s(&[3]);
         e.u32s(&[4, 5, 6]);
+        let mut ts = TimeSeries::new("load");
+        ts.push(1.0, 0.5);
+        ts.push(1.0, -0.0);
+        e.series(&ts);
+        e.u64s(&[7, 8]);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes, "test");
         assert_eq!(d.u8().expect("u8"), 7);
@@ -1086,6 +1276,11 @@ mod tests {
         assert_eq!(d.f64s().expect("f64s"), vec![1.0, 2.0]);
         assert_eq!(d.u64s().expect("u64s"), vec![3]);
         assert_eq!(d.u32s().expect("u32s"), vec![4, 5, 6]);
+        let back = d.series().expect("series");
+        assert_eq!(back.name(), "load");
+        assert_eq!(back.times_secs(), ts.times_secs());
+        assert_eq!(back.values()[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(d.list(8, Dec::u64).expect("list"), vec![7, 8]);
         d.finish().expect("fully consumed");
     }
 
@@ -1094,8 +1289,36 @@ mod tests {
         let mut e = Enc::new();
         e.usize(usize::MAX / 2); // claims an impossible element count
         let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes, "test");
-        assert!(matches!(d.f64s(), Err(CheckpointError::Corrupt(_))));
+        fn refused<T>(r: Result<T, CheckpointError>) -> bool {
+            matches!(r, Err(CheckpointError::Corrupt(_)))
+        }
+        assert!(refused(Dec::new(&bytes, "test").f64s()));
+        assert!(refused(Dec::new(&bytes, "test").u32s()));
+        assert!(refused(Dec::new(&bytes, "test").list(1, Dec::u8)));
+    }
+
+    /// A series that [`TimeSeries::push`] could not have built —
+    /// timestamps out of order or NaN, or fewer values than
+    /// timestamps — is refused, not handed on to panic later.
+    #[test]
+    fn dec_refuses_series_push_could_not_build() {
+        for (t, v) in [
+            (vec![2.0, 1.0], vec![0.0, 0.0]),
+            (vec![f64::NAN], vec![0.0]),
+            (vec![0.0, f64::NAN], vec![0.0, 0.0]),
+            (vec![0.0, 1.0], vec![0.0]),
+        ] {
+            let mut e = Enc::new();
+            e.str("s");
+            e.f64s(&t);
+            e.f64s(&v);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes, "test");
+            assert!(
+                matches!(d.series(), Err(CheckpointError::Corrupt(_))),
+                "{t:?} {v:?}"
+            );
+        }
     }
 
     #[test]

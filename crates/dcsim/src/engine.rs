@@ -478,7 +478,7 @@ impl<P: Policy> Simulation<P> {
 
         // The cluster goes first: its VM table sizes the VM ids every
         // later section is checked against.
-        let mut d = Dec::new(ckpt.section("cluster")?, "cluster");
+        let mut d = ckpt.decoder("cluster")?;
         sim.cluster.decode_into(&mut d, sim.cursors.len())?;
         d.finish()?;
         sim.alive_vms = alive_set(&sim.cluster.vms);
@@ -487,18 +487,18 @@ impl<P: Policy> Simulation<P> {
             vms: sim.cluster.vms.len(),
         };
 
-        let mut d = Dec::new(ckpt.section("engine")?, "engine");
+        let mut d = ckpt.decoder("engine")?;
         sim.decode_engine(&mut d)?;
         d.finish()?;
 
-        let mut d = Dec::new(ckpt.section("traces")?, "traces");
+        let mut d = ckpt.decoder("traces")?;
         sim.decode_traces(&mut d)?;
         d.finish()?;
 
         // The queue section leaves out the spawns still to arrive; they
         // go back with the keys they were queued with.
         let spawns = sim.pending_spawns()?;
-        let mut d = Dec::new(ckpt.section("queue")?, "queue");
+        let mut d = ckpt.decoder("queue")?;
         sim.queue
             .decode_into(&mut d, &ids, sim.now, spawns.end as u64)?;
         d.finish()?;
@@ -508,21 +508,21 @@ impl<P: Policy> Simulation<P> {
                 .restore_entry(t, 2 * i as u64 + 1, Event::Spawn(i));
         }
 
-        let mut d = Dec::new(ckpt.section("stats")?, "stats");
-        sim.stats = SimStats::decode(&mut d)?;
+        let mut d = ckpt.decoder("stats")?;
+        sim.stats = SimStats::decode(&mut d, sim.now)?;
         d.finish()?;
 
-        let mut d = Dec::new(ckpt.section("control")?, "control");
+        let mut d = ckpt.decoder("control")?;
         if let Some(cp) = sim.control.as_mut() {
             cp.decode_into(&mut d, &ids)?;
         }
         d.finish()?;
 
-        let mut d = Dec::new(ckpt.section("log")?, "log");
+        let mut d = ckpt.decoder("log")?;
         sim.log = EventLog::decode(&mut d)?;
         d.finish()?;
 
-        let mut d = Dec::new(ckpt.section("policy")?, "policy");
+        let mut d = ckpt.decoder("policy")?;
         let words = d.u64s()?;
         d.finish()?;
         sim.policy
@@ -532,7 +532,7 @@ impl<P: Policy> Simulation<P> {
         // After the queue (which holds the scheduled chains' ticks),
         // the stats (settled ticks are processed events) and the policy
         // (a parked server must be inside its band).
-        let mut d = Dec::new(ckpt.section("monitor")?, "monitor");
+        let mut d = ckpt.decoder("monitor")?;
         sim.decode_monitor(&mut d)?;
         d.finish()?;
 
@@ -3656,19 +3656,65 @@ mod tests {
                 }),
             ),
         ];
-        for (section, mutate) in cases {
+        let refused =
+            |what: &str, section: &str, needle: &str, outcome: Result<Sim, _>| match outcome {
+                Err(CheckpointError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("section '{section}'")) && msg.contains(needle),
+                    "{what}: {msg}"
+                ),
+                Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("{what}: a hostile {section} section was restored"),
+            };
+        let mutated = |mutate: &Mutation<'_>| {
             let (fleet, workload, config) = make();
             let mut sim = Simulation::new(fleet, workload, config, FirstFit);
             while sim.now() < 3600.0 && sim.step().is_some() {}
             mutate(&mut sim);
-            match restore(&sim) {
-                Err(CheckpointError::Corrupt(msg)) => assert!(
-                    msg.contains(&format!("section '{section}'")) && msg.contains("999"),
-                    "{section}: {msg}"
-                ),
-                Err(other) => panic!("{section}: expected Corrupt, got {other:?}"),
-                Ok(_) => panic!("{section}: a hostile id was restored"),
-            }
+            restore(&sim)
+        };
+        for (section, mutate) in &cases {
+            refused(section, section, "999", mutated(mutate));
+        }
+        // The `stats` section: a series or the energy integrator whose
+        // clock is past the snapshot's (the next sample would trip the
+        // release asserts of `TimeSeries::push` and
+        // `EnergyIntegrator::update`), and timestamps `push` could not
+        // have written, patched into the section by hand.
+        let clock_cases: Vec<(&str, Mutation<'_>)> = vec![
+            (
+                "time series 'power_w'",
+                Box::new(|s| s.stats.power_w.push(s.now + 60.0, 0.0)),
+            ),
+            (
+                "the energy integrator",
+                Box::new(|s| {
+                    let e = &s.stats.energy;
+                    s.stats.energy = ecocloud_metrics::EnergyIntegrator::from_parts(
+                        s.now + 60.0,
+                        e.current_power_w(),
+                        e.energy_joules(),
+                    );
+                }),
+            ),
+        ];
+        for (what, mutate) in &clock_cases {
+            let needle = format!("{what} is at");
+            refused(what, "stats", &needle, mutated(mutate));
+        }
+        let ckpt = base.snapshot("t", 0);
+        let stats = ckpt.section("stats").expect("stats section").to_vec();
+        // `overall_load` leads the section: its name (4 + 12 B), its
+        // timestamp count (8 B), then its timestamps.
+        assert_eq!(&stats[4..16], b"overall_load");
+        let at = |i: usize| 24 + 8 * i..32 + 8 * i;
+        let t1 = f64::from_le_bytes(stats[at(1)].try_into().expect("8 bytes"));
+        for (what, t0) in [("out of order", t1 + 1.0), ("NaN", f64::NAN)] {
+            let mut bad = stats.clone();
+            bad[at(0)].copy_from_slice(&t0.to_le_bytes());
+            let (fleet, workload, config) = make();
+            let ckpt = with_section(&ckpt, "stats", &bad);
+            let outcome = Simulation::restore_from(fleet, workload, config, FirstFit, &ckpt, "t");
+            refused(what, "stats", "timestamps out of order", outcome);
         }
     }
 

@@ -23,10 +23,10 @@
 //!
 //! A chain whose tick finds its server quiet is not pushed at all: the
 //! engine parks it, and re-arms it when the server leaves its quiet
-//! band. [`EventQueue::schedule_rearmed`] files the re-armed tick with
+//! band. `EventQueue::schedule_rearmed` files the re-armed tick with
 //! an order key between two sequence numbers, where the unparked tick
 //! would have popped, and while chains are parked the queue logs each
-//! pop's number so [`EventQueue::settle_parked`] can place the silent
+//! pop's number so `EventQueue::settle_parked` can place the silent
 //! ticks it counts in closed form (`DESIGN.md` §14).
 //!
 //! Pop order is *identical* to the plain binary heap this replaced:

@@ -596,12 +596,8 @@ impl EventLog {
     /// Inverse of [`encode`](Self::encode).
     pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
         let enabled = d.bool()?;
-        let n = d.usize()?;
-        d.check_remaining(n, 9)?; // smallest event: tag + f64 t
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(SimEvent::decode(d)?);
-        }
+        // The smallest event is a tag and an `f64` time.
+        let events = d.list(9, SimEvent::decode)?;
         Ok(Self { enabled, events })
     }
 }

@@ -352,10 +352,10 @@ impl SimStats {
     /// `monitor_ticks_settled` belongs to the engine's `monitor`
     /// section, which a never-parking run's snapshot differs in anyway.
     pub(crate) fn encode(&self, e: &mut Enc, unsettled_ticks: u64) {
-        encode_series(&self.overall_load, e);
-        encode_series(&self.active_servers, e);
-        encode_series(&self.power_w, e);
-        encode_series(&self.overdemand_pct, e);
+        e.series(&self.overall_load);
+        e.series(&self.active_servers);
+        e.series(&self.power_w);
+        e.series(&self.overdemand_pct);
         e.usize(self.server_utilization.len());
         for (t, utils) in &self.server_utilization {
             e.f64(*t);
@@ -412,25 +412,26 @@ impl SimStats {
         e.f64(self.window_alive_vmsecs);
     }
 
-    /// Inverse of [`encode`](Self::encode).
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
-        let overall_load = decode_series(d)?;
-        let active_servers = decode_series(d)?;
-        let power_w = decode_series(d)?;
-        let overdemand_pct = decode_series(d)?;
-        let n_snaps = d.usize()?;
-        d.check_remaining(n_snaps, 16)?;
-        let mut server_utilization = Vec::with_capacity(n_snaps);
-        for _ in 0..n_snaps {
-            let t = d.f64()?;
-            let m = d.usize()?;
-            d.check_remaining(m, 4)?;
-            let mut utils = Vec::with_capacity(m);
-            for _ in 0..m {
-                utils.push(d.f32()?);
+    /// Inverse of [`encode`](Self::encode), for a snapshot taken at
+    /// `now`. A series or the energy integrator whose clock is past
+    /// `now` is refused: the run's next sample there would go back in
+    /// time.
+    pub(crate) fn decode(d: &mut Dec<'_>, now: f64) -> Result<Self, CheckpointError> {
+        let until_now = |d: &Dec<'_>, what: &str, t: f64| {
+            if t <= now {
+                Ok(())
+            } else {
+                Err(d.corrupt(format_args!("{what} is at {t} s, past the clock {now} s")))
             }
-            server_utilization.push((t, utils));
+        };
+        let [overall_load, active_servers, power_w, overdemand_pct] =
+            [d.series()?, d.series()?, d.series()?, d.series()?];
+        for s in [&overall_load, &active_servers, &power_w, &overdemand_pct] {
+            if let Some(&t) = s.times_secs().last() {
+                until_now(d, &format!("time series '{}'", s.name()), t)?;
+            }
         }
+        let server_utilization = d.list(16, |d| Ok((d.f64()?, d.list(4, Dec::f32)?)))?;
         let low_migrations = decode_hourly(d)?;
         let high_migrations = decode_hourly(d)?;
         let activations = decode_hourly(d)?;
@@ -444,6 +445,7 @@ impl SimStats {
         ];
         let max_ram_utilization = d.f64()?;
         let energy = EnergyIntegrator::from_parts(d.f64()?, d.f64()?, d.f64()?);
+        until_now(d, "the energy integrator", energy.last_time_secs())?;
         let counters = d.u64s()?;
         if counters.len() != 28 {
             return Err(CheckpointError::Corrupt(format!(
@@ -503,26 +505,6 @@ impl SimStats {
             window_alive_vmsecs,
         })
     }
-}
-
-fn encode_series(s: &TimeSeries, e: &mut Enc) {
-    e.str(s.name());
-    e.f64s(s.times_secs());
-    e.f64s(s.values());
-}
-
-fn decode_series(d: &mut Dec<'_>) -> Result<TimeSeries, CheckpointError> {
-    let name = d.str()?;
-    let t = d.f64s()?;
-    let v = d.f64s()?;
-    if t.len() != v.len() {
-        return Err(CheckpointError::Corrupt(format!(
-            "time series {name:?} has {} timestamps but {} values",
-            t.len(),
-            v.len()
-        )));
-    }
-    Ok(TimeSeries::from_parts(name, t, v))
 }
 
 fn encode_hourly(c: &HourlyCounter, e: &mut Enc) {

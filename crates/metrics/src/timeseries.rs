@@ -27,27 +27,28 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Rebuilds a series from raw parts, for checkpoint restore.
+    /// Rebuilds a series from raw parts, as a decoder reads them.
     ///
-    /// # Panics
-    /// Panics when the vectors disagree in length or the timestamps
-    /// are not non-decreasing — a snapshot violating either was not
-    /// produced by [`push`](Self::push).
-    pub fn from_parts(name: String, t_secs: Vec<f64>, values: Vec<f64>) -> Self {
-        assert_eq!(
-            t_secs.len(),
-            values.len(),
-            "time series '{name}' parts disagree in length"
-        );
-        assert!(
-            t_secs.windows(2).all(|w| w[1] >= w[0]),
-            "time series '{name}' timestamps out of order"
-        );
-        Self {
+    /// # Errors
+    /// When the vectors disagree in length or the timestamps are NaN or
+    /// out of order: [`push`](Self::push) builds no such series, and the
+    /// next `push` onto one would panic.
+    pub fn from_parts(name: String, t_secs: Vec<f64>, values: Vec<f64>) -> Result<Self, String> {
+        if t_secs.len() != values.len() {
+            return Err(format!(
+                "time series '{name}' has {} timestamps but {} values",
+                t_secs.len(),
+                values.len()
+            ));
+        }
+        if t_secs.iter().any(|t| t.is_nan()) || !t_secs.is_sorted() {
+            return Err(format!("time series '{name}' timestamps out of order"));
+        }
+        Ok(Self {
             name,
             t_secs,
             values,
-        }
+        })
     }
 
     /// Appends a sample at time `t_secs` (seconds).

@@ -35,7 +35,6 @@ pub mod churn;
 pub mod config;
 pub mod diurnal;
 pub mod generator;
-pub mod io;
 pub mod planetlab;
 pub mod profile;
 pub mod stats;

@@ -820,7 +820,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 duration_secs: args.hours * 3600,
                 ..TraceConfig::paper_48h(args.seed)
             });
-            ecocloud_traces::io::save_binary(&set, &out).map_err(|e| e.to_string())?;
+            crate::io::save_binary(&set, &out).map_err(|e| e.to_string())?;
             println!(
                 "wrote {} VMs x {} samples to {}",
                 set.len(),
@@ -836,7 +836,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 ecocloud_traces::planetlab::import_dir(&path, 300)
                     .map_err(|e| format!("cannot import {}: {e}", path.display()))?
             } else {
-                ecocloud_traces::io::load_binary(&path)
+                crate::io::load_binary(&path)
                     .map_err(|e| format!("cannot read {}: {e}", path.display()))?
             };
             let h = ecocloud_traces::stats::avg_utilization_histogram(&set, 40);
@@ -1496,6 +1496,38 @@ mod tests {
         execute(gen).expect("generates");
         let stats = parse(&argv(&format!("trace-stats {}", path.display()))).expect("parses");
         execute(stats).expect("reads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `trace-stats` refuses a trace file with one byte flipped, naming
+    /// the checksum, and a version-2 file, naming the version.
+    #[test]
+    fn trace_stats_refuses_flipped_and_old_files_by_name() {
+        let dir =
+            std::env::temp_dir().join(format!("ecocloud_cli_bad_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("t.ecot");
+        let gen = format!("trace-gen --out {} --vms 5 --hours 1", path.display());
+        execute(parse(&argv(&gen)).expect("parses")).expect("generates");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        let flipped = dir.join("flipped.ecot");
+        std::fs::write(&flipped, &bytes).expect("write");
+        let v2 = dir.join("v2.ecot");
+        std::fs::write(
+            &v2,
+            [b"ECOT".as_slice(), &2u16.to_le_bytes(), &[0; 128]].concat(),
+        )
+        .expect("write");
+        for (file, reason) in [(&flipped, "checksum"), (&v2, "format version 2")] {
+            let stats = parse(&argv(&format!("trace-stats {}", file.display()))).expect("parses");
+            let err = execute(stats).expect_err("a damaged file must be refused");
+            assert!(
+                err.contains(reason) && err.contains(&file.display().to_string()),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,10 +24,12 @@
 //!   for every summary scalar and sampled time series
 //!   (via [`ecocloud_metrics::replication`]).
 //!
-//! Artifacts use a self-describing plain-text codec (`.ecor`) whose
-//! floats round-trip exactly (Rust's shortest-representation float
-//! formatting), so a warm cache reproduces the cold-cache aggregate
-//! byte-for-byte without any JSON machinery.
+//! Artifacts (`.ecor`) are sealed in the container checkpoints and
+//! trace files share ([`dcsim::checkpoint`]): a checksum, a version,
+//! and floats and counters stored as their exact bits, so a warm cache
+//! reproduces the cold-cache aggregate byte-for-byte, and a damaged
+//! artifact is re-run instead of served. [`RunArtifact::to_text`] is
+//! the artifact's printable form; nothing parses it.
 //!
 //! # Worked example: a 3-seed ensemble, worker-count invariant
 //!
@@ -59,6 +61,7 @@
 
 use crate::parallel::run_replicas;
 use crate::scenarios::{control_plane_profile, fault_profile, ChurnKind, Scenario};
+use dcsim::checkpoint::{CheckpointError, Dec, FileKind, Sealed};
 use dcsim::stats::SimSummary;
 use dcsim::{Checkpoint, Fleet, Policy, SimResult, Simulation};
 use ecocloud_baselines::{BestFitPolicy, FirstFitPolicy, RandomPolicy};
@@ -494,8 +497,9 @@ pub const HOURLY_NAMES: [&str; 4] = [
 /// Lists every `SimSummary` field once; the artifact codec and the
 /// aggregation layer are both generated from it, so a new summary
 /// field shows up in cache files, CSVs and CI tables by being added
-/// here (and the exhaustive struct literal in `parse_summary` breaks
-/// the build if the list falls behind the struct).
+/// here (and the exhaustive struct literal in
+/// [`RunArtifact::from_bytes`] breaks the build if the list falls
+/// behind the struct).
 macro_rules! for_each_summary_field {
     ($mac:ident) => {
         $mac!(
@@ -529,24 +533,13 @@ pub fn summary_metrics(s: &SimSummary) -> Vec<(&'static str, f64)> {
     for_each_summary_field!(collect)
 }
 
-fn parse_summary(fields: &[(String, f64)]) -> Result<SimSummary, String> {
-    let get = |name: &str| -> Result<f64, String> {
-        fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("artifact missing summary field '{name}'"))
-    };
-    macro_rules! build {
-        (f64: $($f:ident),*; u64: $($u:ident),*) => {
-            SimSummary {
-                $($f: get(stringify!($f))?,)*
-                $($u: get(stringify!($u))? as u64,)*
-            }
-        };
-    }
-    Ok(for_each_summary_field!(build))
-}
+/// Version 2 is the first sealed one: version 1 was line text with
+/// every number printed in decimal.
+const ARTIFACT: FileKind = FileKind {
+    magic: b"ECOR",
+    version: 2,
+    name: "run artifact",
+};
 
 impl RunArtifact {
     /// Reduces a finished run to its artifact.
@@ -592,9 +585,8 @@ impl RunArtifact {
         }
     }
 
-    /// Serializes the artifact to the `.ecor` text format. Floats use
-    /// Rust's shortest round-trip representation, so
-    /// `from_text(to_text(a))` reproduces `a` bit-for-bit.
+    /// The artifact's printable form: one line per field, floats in
+    /// Rust's shortest round-trip representation.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "ecocloud-run-artifact v1");
@@ -621,84 +613,70 @@ impl RunArtifact {
         s
     }
 
-    /// Parses the `.ecor` text format.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty artifact")?;
-        if header != "ecocloud-run-artifact v1" {
-            return Err(format!("unsupported artifact header '{header}'"));
-        }
-        let mut spec = None;
-        let mut key = None;
-        let mut final_powered = 0u64;
-        let mut summary_fields: Vec<(String, f64)> = Vec::new();
-        let mut series: Vec<TimeSeries> = Vec::new();
-        let mut hourly: Vec<(String, Vec<u64>)> = Vec::new();
-        let mut saw_end = false;
-        while let Some(line) = lines.next() {
-            let mut it = line.split_whitespace();
-            match it.next() {
-                Some("spec") => {
-                    spec = Some(line["spec ".len()..].to_string());
-                }
-                Some("key") => {
-                    let hex = it.next().ok_or("key line without value")?;
-                    key = Some(
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|e| format!("bad key '{hex}': {e}"))?,
-                    );
-                }
-                Some("final_powered") => {
-                    final_powered = parse_num(it.next(), "final_powered")?;
-                }
-                Some("summary") => {
-                    let name = it.next().ok_or("summary line without name")?;
-                    let v: f64 = parse_num(it.next(), name)?;
-                    summary_fields.push((name.to_string(), v));
-                }
-                Some("series") => {
-                    let name = it.next().ok_or("series line without name")?;
-                    let n: usize = parse_num(it.next(), "series length")?;
-                    let mut ts = TimeSeries::new(name);
-                    for _ in 0..n {
-                        let row = lines.next().ok_or("truncated series block")?;
-                        let mut cols = row.split_whitespace();
-                        let t: f64 = parse_num(cols.next(), "series time")?;
-                        let v: f64 = parse_num(cols.next(), "series value")?;
-                        ts.push(t, v);
-                    }
-                    series.push(ts);
-                }
-                Some("hourly") => {
-                    let name = it.next().ok_or("hourly line without name")?;
-                    let n: usize = parse_num(it.next(), "hourly length")?;
-                    let counts: Vec<u64> = it
-                        .map(|tok| tok.parse::<u64>().map_err(|e| format!("bad count: {e}")))
-                        .collect::<Result<_, _>>()?;
-                    if counts.len() != n {
-                        return Err(format!(
-                            "hourly '{name}': expected {n} counts, found {}",
-                            counts.len()
-                        ));
-                    }
-                    hourly.push((name.to_string(), counts));
-                }
-                Some("end") => {
-                    saw_end = true;
-                    break;
-                }
-                Some(other) => return Err(format!("unknown artifact record '{other}'")),
-                None => {}
+    /// Seals the artifact as an `.ecor` file: sections `run` (spec,
+    /// key, `final_powered`), `summary` (every [`SimSummary`] field,
+    /// floats as bits, counters as `u64`), `series` and `hourly`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut file = Sealed::default();
+        file.encode_section("run", |e| {
+            e.str(&self.spec);
+            e.u64(self.key);
+            e.u64(self.final_powered);
+        });
+        file.encode_section("summary", |e| {
+            macro_rules! put {
+                (f64: $($f:ident),*; u64: $($u:ident),*) => {
+                    $(e.f64(self.summary.$f);)*
+                    $(e.u64(self.summary.$u);)*
+                };
             }
+            for_each_summary_field!(put);
+        });
+        file.encode_section("series", |e| {
+            e.usize(self.series.len());
+            for ts in &self.series {
+                e.series(ts);
+            }
+        });
+        file.encode_section("hourly", |e| {
+            e.usize(self.hourly.len());
+            for (name, counts) in &self.hourly {
+                e.str(name);
+                e.u64s(counts);
+            }
+        });
+        file.to_bytes(&ARTIFACT)
+    }
+
+    /// Opens an `.ecor` file sealed by [`to_bytes`](Self::to_bytes);
+    /// `origin` names it in errors.
+    pub fn from_bytes(bytes: &[u8], origin: &str) -> Result<Self, CheckpointError> {
+        let file = Sealed::from_bytes(bytes, &ARTIFACT, origin)?;
+        let mut d = file.decoder("run")?;
+        let (spec, key, final_powered) = (d.str()?, d.u64()?, d.u64()?);
+        d.finish()?;
+        let mut d = file.decoder("summary")?;
+        macro_rules! get {
+            (f64: $($f:ident),*; u64: $($u:ident),*) => {
+                SimSummary {
+                    $($f: d.f64()?,)*
+                    $($u: d.u64()?,)*
+                }
+            };
         }
-        if !saw_end {
-            return Err("artifact missing 'end' marker (truncated write?)".to_string());
-        }
+        let summary = for_each_summary_field!(get);
+        d.finish()?;
+        let mut d = file.decoder("series")?;
+        let series = d.list(20, Dec::series)?;
+        d.finish()?;
+        let mut d = file.decoder("hourly")?;
+        let hourly = d.list(12, |d| Ok((d.str()?, d.u64s()?)))?;
+        d.finish()?;
         Ok(Self {
-            spec: spec.ok_or("artifact missing spec line")?,
-            key: key.ok_or("artifact missing key line")?,
+            spec,
+            key,
             final_powered,
-            summary: parse_summary(&summary_fields)?,
+            summary,
             series,
             hourly,
         })
@@ -716,15 +694,6 @@ impl RunArtifact {
             .find(|(n, _)| n == name)
             .map(|(_, c)| c.as_slice())
     }
-}
-
-fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let tok = tok.ok_or_else(|| format!("missing value for {what}"))?;
-    tok.parse::<T>()
-        .map_err(|e| format!("bad value '{tok}' for {what}: {e}"))
 }
 
 /// Content-addressed artifact store (one `.ecor` file per
@@ -762,13 +731,14 @@ impl ArtifactCache {
         self.dir.as_ref().map(|d| d.join(spec.artifact_name()))
     }
 
-    /// Loads the cached artifact for `spec`, verifying that the stored
-    /// canonical spec matches (a hash collision or a hand-edited file
-    /// is treated as a miss, never silently served).
+    /// Loads the cached artifact for `spec`, verifying its seal and
+    /// that the stored canonical spec matches: a damaged, old-format or
+    /// colliding file is a miss, with the reason on stderr, never
+    /// silently served.
     pub fn load(&self, spec: &RunSpec) -> Option<RunArtifact> {
         let path = self.path_for(spec)?;
-        let text = std::fs::read_to_string(&path).ok()?;
-        match RunArtifact::from_text(&text) {
+        let bytes = std::fs::read(&path).ok()?;
+        match RunArtifact::from_bytes(&bytes, &path.display().to_string()) {
             Ok(a) if a.spec == spec.canonical() => Some(a),
             Ok(_) => {
                 eprintln!(
@@ -795,7 +765,7 @@ impl ArtifactCache {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let tmp = path.with_extension(format!("tmp{job}"));
-        std::fs::write(&tmp, artifact.to_text())
+        std::fs::write(&tmp, artifact.to_bytes())
             .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("cannot rename into {}: {e}", path.display()))
@@ -1226,14 +1196,16 @@ mod tests {
         assert_eq!(keys.len(), variants.len(), "cache keys must all differ");
     }
 
+    /// The sealed artifact decodes to the same printable form and
+    /// re-seals to the same bytes: every float and counter is exact.
     #[test]
     fn artifact_text_roundtrip_is_exact() {
         let spec = RunSpec::new(tiny_scenario(), PolicySpec::EcoCloud, 7);
         let artifact = spec.execute().expect("tiny run");
-        let text = artifact.to_text();
-        let parsed = RunArtifact::from_text(&text).expect("parses");
-        // Bit-exactness shows as byte-equal re-serialization.
-        assert_eq!(parsed.to_text(), text);
+        let bytes = artifact.to_bytes();
+        let parsed = RunArtifact::from_bytes(&bytes, "mem").expect("parses");
+        assert_eq!(parsed.to_text(), artifact.to_text());
+        assert_eq!(parsed.to_bytes(), bytes);
         assert_eq!(parsed.key, spec.cache_key());
         assert_eq!(parsed.summary.energy_kwh, artifact.summary.energy_kwh);
         assert_eq!(parsed.series.len(), 4);
@@ -1244,17 +1216,96 @@ mod tests {
         );
     }
 
+    /// Counters are stored as `u64`, not through `f64`: one past 2^53
+    /// has no `f64` of its own and must come back unchanged.
+    #[test]
+    fn artifact_counters_roundtrip_exactly() {
+        let spec = RunSpec::new(tiny_scenario(), PolicySpec::EcoCloud, 7);
+        let mut artifact = spec.execute().expect("tiny run");
+        artifact.summary.events_processed = (1 << 53) + 1;
+        artifact.final_powered = u64::MAX;
+        artifact.hourly[0].1[0] = u64::MAX - 1;
+        let back = RunArtifact::from_bytes(&artifact.to_bytes(), "mem").expect("parses");
+        assert_eq!(back.summary.events_processed, (1 << 53) + 1);
+        assert_eq!(back.final_powered, u64::MAX);
+        assert_eq!(back.hourly[0].1[0], u64::MAX - 1);
+    }
+
+    /// A torn, flipped or version-1 (line text) artifact is refused by
+    /// name: truncated, checksum, or not a sealed artifact at all.
     #[test]
     fn artifact_parser_rejects_corruption() {
         let spec = RunSpec::new(tiny_scenario(), PolicySpec::FirstFit, 3);
         let artifact = spec.execute().expect("tiny run");
-        let text = artifact.to_text();
-        assert!(RunArtifact::from_text("").is_err());
-        assert!(RunArtifact::from_text("wrong header\nend\n").is_err());
-        // Truncation (a torn write) must be detected via the missing
-        // end marker.
-        let truncated = &text[..text.len() - 5];
-        assert!(RunArtifact::from_text(truncated).is_err());
+        let bytes = artifact.to_bytes();
+        let parse = |b: &[u8]| RunArtifact::from_bytes(b, "mem").map(|_| ());
+        assert!(matches!(parse(b""), Err(CheckpointError::Truncated(_))));
+        assert!(matches!(
+            parse(artifact.to_text().as_bytes()),
+            Err(CheckpointError::BadMagic(_))
+        ));
+        assert!(matches!(
+            parse(&bytes[..bytes.len() - 5]),
+            Err(CheckpointError::Truncated(_))
+        ));
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x10;
+        assert!(matches!(
+            parse(&flipped),
+            Err(CheckpointError::BadChecksum(_))
+        ));
+        let mut v1 = bytes;
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            parse(&v1),
+            Err(CheckpointError::FormatVersionMismatch {
+                found: 1,
+                expected: 2
+            })
+        );
+    }
+
+    /// Seeded bit flips in every section, re-sealed so the checksum
+    /// holds: each decodes to an error or to an artifact that re-seals
+    /// to the flipped file, and none panics.
+    #[test]
+    fn flipped_artifact_bits_are_refused_or_reencode() {
+        let spec = RunSpec::new(tiny_scenario(), PolicySpec::EcoCloud, 5);
+        let bytes = spec.execute().expect("tiny run").to_bytes();
+        crate::test_support::assert_flips_refused_or_reencoded(
+            &bytes,
+            &ARTIFACT,
+            450,
+            30,
+            |b| RunArtifact::from_bytes(b, "mem"),
+            RunArtifact::to_bytes,
+        );
+    }
+
+    /// One flipped byte in a cached artifact makes that run a miss: it
+    /// is simulated again, and the aggregate equals the cold one.
+    #[test]
+    fn damaged_cache_file_is_rerun_not_served() {
+        let cache = tmp_cache("damaged");
+        let specs = seed_grid(&tiny_scenario(), PolicySpec::EcoCloud, 200, 2);
+        let cold = run_grid(&specs, 2, &cache).expect("cold sweep");
+        let path = cache.path_for(&specs[1]).expect("cache enabled");
+        let mut bytes = std::fs::read(&path).expect("cached artifact");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, bytes).expect("damage");
+        assert!(
+            cache.load(&specs[1]).is_none(),
+            "a damaged artifact was served"
+        );
+        let warm = run_grid(&specs, 2, &cache).expect("warm sweep");
+        assert_eq!((warm.cache_hits, warm.executed), (1, 1));
+        assert_eq!(
+            aggregate(&warm.artifacts).metrics_csv(),
+            aggregate(&cold.artifacts).metrics_csv()
+        );
+        assert!(cache.load(&specs[1]).is_some(), "the re-run was stored");
+        drop_cache(&cache);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! including the wrapped reads of an open system that restart cursors.
 
 use ecocloud::dcsim::{Checkpoint, SimResult};
+use ecocloud::io;
 use ecocloud::prelude::*;
 use ecocloud::scenarios::ChurnKind;
-use ecocloud::traces::{io, planetlab, OpenSystemSpec, VmTrace};
+use ecocloud::traces::{planetlab, OpenSystemSpec, VmTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// `Debug` formats floats exactly, so equal strings mean equal bits.
