@@ -24,11 +24,6 @@ pub fn bench_scenario(n_servers: usize, n_vms: usize, hours: u64, seed: u64) -> 
 /// and perfbench's `fleet_large` workload runs the 5 000-server rung.
 pub const LARGE_FLEET_LADDER: [usize; 5] = [1_000, 5_000, 20_000, 50_000, 100_000];
 
-/// Fleet sizes for the snapshot's queue micro-benchmarks (pure
-/// [`ecocloud::dcsim::events::EventQueue`] throughput, no engine).
-pub const QUEUE_FLEET_GRID: [u64; 7] =
-    [5_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000];
-
 /// The large-fleet stress scenario: `n_servers` paper-mix machines
 /// hosting `2 × n_servers` VMs for 48 simulated hours — an order of
 /// magnitude past the paper's 400-server evaluation, where full-fleet

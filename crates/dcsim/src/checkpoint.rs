@@ -3,7 +3,7 @@
 //!
 //! A checkpoint is a versioned, self-describing snapshot of the
 //! *entire* deterministic state of a [`crate::Simulation`] — cluster
-//! SoA vectors, VM table, the calendar queue, every seeded RNG stream,
+//! SoA vectors, VM table, the event queue, every seeded RNG stream,
 //! in-flight control-plane exchanges, fault schedules, statistics and
 //! streaming series. Only primary state is stored: what the rest of
 //! the snapshot or the scenario determines (queued arrivals, the alive

@@ -2,8 +2,9 @@
 //! mechanics, power and SLA accounting.
 //!
 //! [`Simulation`] owns all mutable state and dispatches a strictly
-//! `(time, seq)`-ordered event stream from the calendar queue
-//! ([`crate::events`]). Drive it with [`Simulation::run`] (to
+//! `(time, seq)`-ordered event stream from the event queue
+//! ([`crate::events`]), a binary heap beside a FIFO lane for the
+//! monitor ticks. Drive it with [`Simulation::run`] (to
 //! completion), or [`Simulation::step`] + [`Simulation::checkpoint`]
 //! for crash-safe long runs ([`crate::checkpoint`]). Every handler,
 //! including the two fleet-wide sweeps (`DemandUpdate`,
@@ -269,10 +270,10 @@ impl<P: Policy> Simulation<P> {
             .control_plane
             .enabled()
             .then(|| ControlPlane::new(config.control_plane.clone()));
-        // Pre-size the calendar's overflow heap for what an open system
-        // queues: every spawn up front, then a departure in each started
-        // VM's place. Servers add their first monitor ticks at t = 0;
-        // later ticks run in the queue's monitor lane.
+        // Pre-size the queue's heap for what an open system queues:
+        // every spawn up front, then a departure in each started VM's
+        // place. Servers add their first monitor ticks at t = 0; later
+        // ticks run in the queue's monitor lane.
         let queue = EventQueue::with_capacity(n_servers + workload.spawns.len());
         let cursors = workload.traces.vms.iter().map(VmTrace::cursor).collect();
         Self {
@@ -400,7 +401,7 @@ impl<P: Policy> Simulation<P> {
 
     /// Serializes the complete deterministic state of this run into a
     /// [`Checkpoint`]. Everything mutable is captured — cluster, VM
-    /// table, event calendar, every RNG stream, in-flight exchanges,
+    /// table, event queue, every RNG stream, in-flight exchanges,
     /// statistics, event log, policy soft state — so that
     /// [`restore_from`](Self::restore_from) followed by running to the
     /// end produces byte-identical results to the uninterrupted run.
@@ -757,7 +758,7 @@ impl<P: Policy> Simulation<P> {
     }
 
     /// Processes the next event and returns its time, or `None` when
-    /// the calendar is drained or the next event lies past the
+    /// the queue is drained or the next event lies past the
     /// configured duration. Lets tests and harnesses interleave their
     /// own checks (e.g. [`Cluster::check_invariants`]) with the event
     /// loop; call [`Simulation::finish`] afterwards for the final
@@ -3096,7 +3097,7 @@ mod tests {
         assert_eq!(sim.stats.vms_replaced, 1);
         assert_eq!(sim.stats.vms_lost, 0);
         sim.cluster.check_invariants();
-        // Run out the calendar: the repair at t = 1800.5 returns S0 to
+        // Run out the queue: the repair at t = 1800.5 returns S0 to
         // the hibernated pool.
         while sim.step().is_some() {}
         let repaired = sim.stats.server_repairs;

@@ -1,25 +1,15 @@
-//! The event queue: a monitor lane beside an event calendar.
-//!
-//! The calendar is a bucketed calendar queue over `(time, sequence)`
-//! keys (Brown 1988) that sizes itself from the traffic it carries. It
-//! keeps a log2 histogram of push horizons and, once per window of
-//! pushes, sets the wheel's span to the p95 horizon (a power of two)
-//! and its bucket count to the events pending inside that span.
+//! The event queue: a monitor lane beside a binary heap.
 //!
 //! The 5 s MonitorTick chains are nearly every event of an ecoCloud
 //! run, and their re-pushes arrive in time order (each is `now +
-//! interval`, and `now` never decreases), so they bypass the calendar:
+//! interval`, and `now` never decreases), so they skip the heap:
 //! [`EventQueue::schedule_monitor`] appends them to a FIFO lane, and a
-//! pop takes the lane's front or the calendar's minimum, whichever is
-//! first by `(time, seq)`. The calendar keeps the rest — the stagger
-//! and resumed ticks, sweeps, spawns, migration completions, wakes,
-//! departures, repairs, exchanges. On the 5k-server 48 h run that is
-//! 43 k of 9.18 M pushes, and the wheel settles on 64 buckets over a
-//! 128 s span (512 s for part of the run), with everything later
-//! waiting in an overflow heap until the window reaches it. The
-//! monotone sequence number, shared by both stores, makes
-//! simultaneous events fire in insertion order, which — together with
-//! seeded RNGs — makes every run exactly reproducible.
+//! pop takes the lane's front or the heap's top, whichever is first by
+//! `(time, seq)`. The heap keeps the rest — the stagger and resumed
+//! ticks, sweeps, spawns, migration completions, wakes, departures,
+//! repairs, exchanges. The monotone sequence number, shared by both
+//! stores, makes simultaneous events fire in insertion order, which —
+//! together with seeded RNGs — makes every run exactly reproducible.
 //!
 //! A chain whose tick finds its server quiet is not pushed at all: the
 //! engine parks it, and re-arms it when the server leaves its quiet
@@ -29,19 +19,12 @@
 //! pop's number so `EventQueue::settle_parked` can place the silent
 //! ticks it counts in closed form (`DESIGN.md` §14).
 //!
-//! Pop order is *identical* to the plain binary heap this replaced:
-//! each calendar pop selects the `(time, seq)` minimum of the cursor
-//! bucket (the same total order the heap used), bucket membership
-//! partitions events by time, and every overflow event inside the
-//! window moves into the wheel before a pop selects a bucket. The
-//! geometry only decides where an event is stored, never which event
-//! pops next, so retunes cannot change the order; nor can the lane,
-//! whose front is its minimum. Debug-assertion builds enforce it
-//! on every run with a pop-order law: each pop is strictly after the
-//! last, and at the end nothing pending lies before the last pop. The
-//! old heap survives outside the engine as [`ReferenceHeap`], the
-//! oracle for the equivalence tests below. See `DESIGN.md` §14 for
-//! the full determinism argument.
+//! Each store's head is its `(time, seq)` minimum — the heap's by
+//! construction, the lane's because its pushes arrive sorted — so the
+//! smaller head is the minimum of every pending event. Debug-assertion
+//! builds enforce it on every run with a pop-order law: each pop is
+//! strictly after the last, and at the end nothing pending lies before
+//! the last pop. See `DESIGN.md` §14 for the full argument.
 
 use crate::checkpoint::{CheckpointError, Dec, Enc, IdBounds};
 use crate::ids::{ServerId, VmId};
@@ -247,511 +230,30 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// Bucket-count bounds (powers of two). Between retunes the wheel
-/// doubles once its population exceeds [`GROW_LOAD_FACTOR`] events per
-/// bucket — the fast reaction to a burst.
-const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 1 << 21;
-const GROW_LOAD_FACTOR: usize = 2;
-
-/// The wheel's span is a measured power of two, `2^span_exp` seconds,
-/// with `span_exp` in `MIN_SPAN_EXP..=MAX_SPAN_EXP` (≈16 ms to ≈194
-/// days). The floor bounds the bucket width at `2^-27` s, so
-/// `bucket_of` cannot saturate below ~4,000 simulated years.
-const MIN_SPAN_EXP: i32 = -6;
-const MAX_SPAN_EXP: i32 = 24;
-/// A restored entry lies before `2^36` s, so its bucket index stays
-/// below `2^63` at the finest geometry (`2^21` buckets over `2^-6` s)
-/// and a window end never wraps.
+/// A restored entry lies before `2^36` s (about 2,200 years). No run
+/// schedules that far ahead, so a later time in a snapshot is
+/// corruption, refused before it reaches the queue.
 const HORIZON_SECS: f64 = (1u64 << 36) as f64;
-/// Span of a fresh or restored queue until its first retune.
-const INITIAL_SPAN_EXP: i32 = 9;
-/// Pushes per retune window. Retuning costs O(1) while the measured
-/// span holds, and O(pending) when it moves.
-const RETUNE_WINDOW: u32 = 1 << 13;
-/// The span covers this percentile of push horizons. Not p99: on the
-/// 5k-server 48 h run, while the 5 s chains still went through the
-/// calendar, migration completions made up ~1 % of pushes at 8–16 s,
-/// so p99 flipped the span between 8 s and 16 s on most windows; p95
-/// settled on 8 s.
-const SPAN_QUANTILE_PCT: u32 = 95;
-/// Log2 histogram bins of push horizons: bin `k` counts horizons in
-/// `[2^(k-1+MIN_SPAN_EXP), 2^(k+MIN_SPAN_EXP))` (bin 0 everything
-/// shorter, the last bin everything longer).
-const HORIZON_BINS: usize = (MAX_SPAN_EXP - MIN_SPAN_EXP + 1) as usize;
 
-/// Inline event slots per wheel bucket: four 32-byte `Scheduled`
-/// entries make a bucket's storage exactly two cache lines with no
-/// header. Occupancy lives in the dense `lens` side array instead, so
-/// a push never loads the (cold) bucket line it stores into, and the
-/// retunes hold mean occupancy at or below one (grow-on-load caps it
-/// at [`GROW_LOAD_FACTOR`] between them) so a pop's min-scan rarely
-/// reads past the first line.
-const SLOT_CAP: usize = 4;
-
-/// Placeholder filling unused inline slots (never observed: `lens`
-/// bounds every read).
-const VACANT: Scheduled = Scheduled {
-    t_secs: 0.0,
-    seq: 0,
-    event: Event::MetricsSample,
-};
-
-/// Best-effort prefetch of the cache line holding `*p` (no-op off
-/// x86_64). Purely a latency hint with no architectural effect, so
-/// determinism is untouched.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch does not dereference; any address is allowed.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// True when `a` pops before `b` — exactly the reference heap's
-/// priority, so in-bucket selection can never diverge from the oracle.
+/// True when `a` pops before `b`: the reversed `Ord` that makes the
+/// max-heap pop the `(time, seq)` minimum.
 #[inline]
 fn earlier(a: &Scheduled, b: &Scheduled) -> bool {
-    a.cmp(b) == Ordering::Greater // `Ord` is reversed for the max-heap
+    a.cmp(b) == Ordering::Greater
 }
 
-/// The bucketed calendar.
-#[derive(Debug)]
-struct Calendar {
-    /// Per-bucket occupancy, one byte per slot. Dense, so the hot
-    /// paths read a cache-resident array instead of a scattered
-    /// per-bucket header.
-    lens: Vec<u8>,
-    /// Ring of inline bucket storage: slot `i` holds `lens[i]` live
-    /// events in `slots[i][..lens[i]]`, unordered. Bucket `b`
-    /// (absolute index) lives at slot `b & mask` while
-    /// `base <= b < base + n_buckets`. A push is a single store; a pop
-    /// scans at most [`SLOT_CAP`] contiguous entries for the
-    /// `(time, seq)` minimum.
-    slots: Vec<[Scheduled; SLOT_CAP]>,
-    /// Occupancy bitmap, one bit per slot (bit set ⇔ bucket holds
-    /// events, inline or spilled). At 64 slots per u64 word the whole
-    /// map stays cache-resident, so the cursor skips runs of empty
-    /// buckets with word scans instead of touching each bucket.
-    live: Vec<u64>,
-    /// Second-level bitmap: bit set ⇔ `lens[slot] >= 2`. Mean
-    /// occupancy is near one, so most pushes target an empty bucket
-    /// and most pops drain a single-event bucket — with this map both
-    /// cases skip the random `lens` load entirely (a push becomes two
-    /// blind stores, a pop reads only the prefetched bucket line) and
-    /// only multi-event buckets fall back to exact counts.
-    multi: Vec<u64>,
-    /// Wheel-resident events that did not fit their bucket's inline
-    /// slots (rare once the geometry is measured: retunes hold mean
-    /// occupancy at or below one, so what spills is mostly bursts of
-    /// simultaneous events such as the t = 0 spawns). Globally
-    /// `(time, seq)`-ordered. Two invariants make the merge at pop
-    /// exact: bucket index is monotone in time, so the heap's top
-    /// always belongs to the earliest un-drained spill bucket; and the
-    /// cursor never passes an occupied bucket, so re-deriving the
-    /// top's bucket index with `bucket_of` at pop time reproduces the
-    /// index it was stored under (including for clamped stragglers,
-    /// which are only ever stored at — and drained from — the cursor
-    /// bucket itself).
-    wheel_spill: BinaryHeap<Scheduled>,
-    /// `n_buckets - 1`; bucket count is always a power of two.
-    mask: usize,
-    /// The wheel spans `2^span_exp` seconds (see [`Calendar::retune`]).
-    span_exp: i32,
-    /// Seconds per bucket (`2^span_exp / n_buckets`, a power of two,
-    /// so every rebuild maps the cursor time exactly).
-    width: f64,
-    /// `1.0 / width`, so the hot `bucket_of` map is a multiply instead
-    /// of a serial-latency divide. The map only has to be monotone in
-    /// `t` and consistent across insert/migrate within one
-    /// `(width, base)` regime — which any fixed factor is — so the
-    /// reciprocal's rounding differences from true division are
-    /// harmless to pop order.
-    inv_width: f64,
-    /// Absolute index of the cursor bucket (the bucket the next pop
-    /// inspects first). Only ever advances.
-    base: u64,
-    /// Events currently stored in the wheel (inline or spilled).
-    in_wheel: usize,
-    /// Events filed at absolute bucket `>= base + n_buckets`, i.e.
-    /// beyond the wheel's window; migrated in as the cursor advances.
-    /// A retune that widens the window may leave events here that now
-    /// fall inside it; the `migrate_due` at the start of the next pop
-    /// moves them in before any bucket is selected.
-    overflow: BinaryHeap<Scheduled>,
-    /// Time of the queue's last pop, from either store (the engine
-    /// clock): the origin push horizons are measured from. Set by
-    /// [`EventQueue::pop`], not by the calendar's own pop, so a run of
-    /// lane pops still moves it.
-    now: f64,
-    /// Whether the queue has popped anything yet.
-    popped: bool,
-    /// Log2 histogram of push horizons (`t - now`) in the current
-    /// retune window.
-    horizons: [u32; HORIZON_BINS],
-    /// Pushes left in the current retune window.
-    until_retune: u32,
-}
-
-/// `2^exp` as an `f64` (exact for every exponent in use).
-fn pow2(exp: i32) -> f64 {
-    f64::from_bits(((1023 + exp) as u64) << 52)
-}
-
-impl Calendar {
-    fn new(overflow_capacity: usize) -> Self {
-        let mut c = Calendar {
-            lens: Vec::new(),
-            slots: Vec::new(),
-            live: Vec::new(),
-            multi: Vec::new(),
-            wheel_spill: BinaryHeap::new(),
-            mask: 0,
-            span_exp: INITIAL_SPAN_EXP,
-            width: 0.0,
-            inv_width: 0.0,
-            base: 0,
-            in_wheel: 0,
-            overflow: BinaryHeap::with_capacity(overflow_capacity),
-            now: 0.0,
-            popped: false,
-            horizons: [0; HORIZON_BINS],
-            until_retune: RETUNE_WINDOW,
-        };
-        c.rebuild(MIN_BUCKETS, INITIAL_SPAN_EXP);
-        c
-    }
-
-    #[inline]
-    fn n_buckets(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Inserts into the wheel bucket at absolute index `b` (must be
-    /// inside the window) and marks its slot live.
-    #[inline]
-    fn wheel_push(&mut self, b: u64, s: Scheduled) {
-        let slot = b as usize & self.mask;
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        if self.live[w] & bit == 0 {
-            // Empty bucket (the common case at occupancy ≈ 1): no
-            // load of the cold bucket needed, just two stores.
-            self.slots[slot][0] = s;
-            self.lens[slot] = 1;
-            self.live[w] |= bit;
-        } else {
-            let n = self.lens[slot] as usize;
-            if n < SLOT_CAP {
-                self.slots[slot][n] = s;
-                self.lens[slot] = (n + 1) as u8;
-                if n + 1 >= 2 {
-                    self.multi[w] |= bit;
-                }
-            } else {
-                self.wheel_spill.push(s);
-            }
-        }
-        self.in_wheel += 1;
-    }
-
-    /// Slot of the first non-empty bucket at ring distance `>= 0` from
-    /// `from`. Caller guarantees the wheel holds at least one event.
-    #[inline]
-    fn next_occupied_slot(&self, from: usize) -> usize {
-        let words = self.live.len();
-        let mut w = from / 64;
-        let mut bits = self.live[w] & (!0u64 << (from % 64));
-        while bits == 0 {
-            w = (w + 1) % words;
-            bits = self.live[w];
-        }
-        w * 64 + bits.trailing_zeros() as usize
-    }
-
-    /// Absolute bucket index of `t`, clamped so it never lands behind
-    /// the cursor. The clamp preserves global pop order: the cursor
-    /// bucket is popped in `(t, seq)` order, and every earlier bucket
-    /// has already been drained, so an early-`t` straggler placed at
-    /// the cursor still pops before everything scheduled after it.
-    #[inline]
-    fn bucket_of(&self, t_secs: f64) -> u64 {
-        ((t_secs * self.inv_width) as u64).max(self.base)
-    }
-
-    #[inline]
-    fn insert(&mut self, s: Scheduled) {
-        let b = self.bucket_of(s.t_secs);
-        if b >= self.base + self.n_buckets() as u64 {
-            self.overflow.push(s);
-        } else {
-            self.wheel_push(b, s);
-        }
-    }
-
-    /// A scheduling push: records the event's horizon, inserts it, and
-    /// retunes the geometry at the end of each window. Pushes before
-    /// the first pop load the queue rather than run it (an open-system
-    /// run schedules every arrival up front), so they have no horizon
-    /// and only grow-on-load sizes the wheel for them.
-    #[inline]
-    fn push(&mut self, s: Scheduled) {
-        self.insert(s);
-        if !self.popped {
-            return;
-        }
-        // The biased exponent of `h` picks the log2 bin; `max` folds
-        // zero and (release-build) negative horizons into bin 0.
-        let h = (s.t_secs - self.now).max(0.0);
-        let bin =
-            ((h.to_bits() >> 52) as i32 - (1022 + MIN_SPAN_EXP)).clamp(0, HORIZON_BINS as i32 - 1);
-        self.horizons[bin as usize] += 1;
-        self.until_retune -= 1;
-        if self.until_retune == 0 {
-            self.retune();
-        }
-    }
-
-    /// Re-derives the geometry from the window's traffic: the span is
-    /// the [`SPAN_QUANTILE_PCT`] push horizon rounded up to a power of
-    /// two, so the chains that carry the traffic re-enter the wheel
-    /// directly, and the bucket count is the next power of two of the
-    /// events pending inside that span, so mean occupancy over the
-    /// span stays at or below one and the ring shrinks again after a
-    /// burst drains. Geometry never enters the `(t, seq)` order, so a
-    /// retune cannot change what pops next.
-    #[cold]
-    #[inline(never)]
-    fn retune(&mut self) {
-        let target = RETUNE_WINDOW * SPAN_QUANTILE_PCT / 100;
-        let mut seen = 0;
-        let mut bin = HORIZON_BINS - 1;
-        for (k, &count) in self.horizons.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                bin = k;
-                break;
-            }
-        }
-        self.horizons = [0; HORIZON_BINS];
-        self.until_retune = RETUNE_WINDOW;
-        let span_exp = bin as i32 + MIN_SPAN_EXP;
-        let resident = if span_exp == self.span_exp {
-            // The wheel is exactly the pending set inside the span.
-            self.in_wheel
-        } else {
-            let end = self.base as f64 * self.width + pow2(span_exp);
-            self.entries().filter(|s| s.t_secs < end).count()
-        };
-        let n = resident.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if (n, span_exp) != (self.n_buckets(), self.span_exp) {
-            self.rebuild(n, span_exp);
-        }
-    }
-
-    /// Moves every overflow event whose bucket has entered the window
-    /// into its wheel bucket.
-    #[inline]
-    fn migrate_due(&mut self) {
-        let window_end = self.base + self.n_buckets() as u64;
-        while let Some(top) = self.overflow.peek() {
-            if self.bucket_of(top.t_secs) >= window_end {
-                break;
-            }
-            let s = self.overflow.pop().expect("peeked");
-            let b = self.bucket_of(s.t_secs);
-            self.wheel_push(b, s);
-        }
-    }
-
-    /// Removes the `(time, seq)` minimum of the cursor bucket
-    /// (absolute index `self.base`, ring slot `slot`), merging the
-    /// inline slots with the spill heap's top (see the `wheel_spill`
-    /// invariants for why top-only is exact).
-    fn take_min_at(&mut self, slot: usize) -> Scheduled {
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        if self.multi[w] & bit == 0 && self.wheel_spill.is_empty() {
-            // Single-event bucket with no spill anywhere (the common
-            // case): skip the lens load — the bucket line itself was
-            // prefetched by the previous pop.
-            debug_assert_eq!(self.lens[slot], 1);
-            self.lens[slot] = 0;
-            self.live[w] &= !bit;
-            return self.slots[slot][0];
-        }
-        let n = self.lens[slot] as usize;
-        let mut best = usize::MAX;
-        for i in 0..n {
-            if best == usize::MAX || earlier(&self.slots[slot][i], &self.slots[slot][best]) {
-                best = i;
-            }
-        }
-        if let Some(top) = self.wheel_spill.peek() {
-            if self.bucket_of(top.t_secs) == self.base
-                && (best == usize::MAX || earlier(top, &self.slots[slot][best]))
-            {
-                return self.wheel_spill.pop().expect("peeked");
-            }
-        }
-        debug_assert!(best != usize::MAX, "live bit set on empty bucket");
-        let out = self.slots[slot][best];
-        let last = n - 1;
-        self.slots[slot][best] = self.slots[slot][last];
-        self.lens[slot] = last as u8;
-        if last < 2 {
-            self.multi[w] &= !bit;
-        }
-        out
-    }
-
-    /// Moves the cursor to the first occupied bucket, migrating the
-    /// overflow events its window reaches, and returns that bucket's
-    /// ring slot; `None` when nothing is stored. This is the cursor
-    /// motion of a pop, shared by [`peek`](Self::peek) so a peek
-    /// followed by a pop moves the cursor exactly as the pop alone.
-    /// Always inlined: out of line, the call slowed the calendar's pops
-    /// (`event_loop_snapshot --queue 5000 hold`: 11–14 M/s against
-    /// 15 M/s with the cursor jump inlined).
-    #[inline(always)]
-    fn seek(&mut self) -> Option<usize> {
-        if self.in_wheel == 0 {
-            // Everything pending is beyond the window: jump the cursor
-            // straight to the earliest overflow bucket.
-            let t = self.overflow.peek()?.t_secs;
-            self.base = self.bucket_of(t);
-        }
-        self.migrate_due();
-        // Jump the cursor to the first occupied bucket. Everything in
-        // the wheel sits inside the window `[base, base + n)`, so ring
-        // distance from the cursor slot is absolute order, and
-        // anything `migrate_due` later moves in is at or beyond the
-        // *old* window end — strictly later than this bucket. The jump
-        // therefore finds the same bucket a one-slot-at-a-time advance
-        // would.
-        let from = self.base as usize & self.mask;
-        let slot = self.next_occupied_slot(from);
-        self.base += (slot.wrapping_sub(from) & self.mask) as u64;
-        Some(slot)
-    }
-
-    /// The `(time, seq)` minimum, left in place. Moves the cursor as a
-    /// pop would (see [`seek`](Self::seek)), so events pushed after a
-    /// peek that fall before its bucket are clamped into it, as
-    /// stragglers always are.
-    fn peek(&mut self) -> Option<Scheduled> {
-        let slot = self.seek()?;
-        let inline = self.slots[slot][..self.lens[slot] as usize].iter();
-        let spill = self
-            .wheel_spill
-            .peek()
-            .filter(|top| self.bucket_of(top.t_secs) == self.base);
-        inline
-            .chain(spill)
-            .copied()
-            .reduce(|best, s| if earlier(&s, &best) { s } else { best })
-    }
-
-    fn pop(&mut self) -> Option<Scheduled> {
-        let slot = self.seek()?;
-        let s = self.take_min_at(slot);
-        self.in_wheel -= 1;
-        if self.live[slot / 64] & (1u64 << (slot % 64)) != 0
-            && self.lens[slot] == 0
-            && self
-                .wheel_spill
-                .peek()
-                .is_none_or(|t| self.bucket_of(t.t_secs) != self.base)
-        {
-            self.live[slot / 64] &= !(1u64 << (slot % 64));
-        }
-        if self.in_wheel > 0 {
-            // Start pulling the next pop's bucket line in now; the
-            // caller's event handling overlaps the miss. The hint is
-            // only a guess (a later schedule may land earlier), so it
-            // can waste a line but never change behavior.
-            let next = self.next_occupied_slot(self.base as usize & self.mask);
-            prefetch(&self.lens[next]);
-            prefetch(&self.slots[next]);
-        }
-        Some(s)
-    }
-
-    /// Every stored event (inline, spilled or overflow), unordered.
-    fn entries(&self) -> impl Iterator<Item = &Scheduled> {
-        let inline = self.lens.iter().zip(&self.slots);
-        let inline = inline.flat_map(|(&n, slot)| &slot[..n as usize]);
-        inline
-            .chain(self.wheel_spill.iter())
-            .chain(self.overflow.iter())
-    }
-
-    /// Grow-on-load: doubles the bucket count under the same span once
-    /// the wheel holds more than [`GROW_LOAD_FACTOR`] events per
-    /// bucket. The trigger is the *wheel-resident* count, not the
-    /// total: overflow events (the far-future departure bulk) never
-    /// touch a bucket, and sizing the ring for them would leave it
-    /// sparse — every pop would scan long runs of empty buckets.
-    fn grow_if_loaded(&mut self) {
-        if self.in_wheel > GROW_LOAD_FACTOR * self.n_buckets() && self.n_buckets() < MAX_BUCKETS {
-            self.rebuild(self.n_buckets() * 2, self.span_exp);
-        }
-    }
-
-    /// Re-lays the wheel out as `n_new` buckets over `2^span_exp`
-    /// seconds from the current cursor time. Wheel events beyond the
-    /// new window move to the overflow heap; overflow events inside a
-    /// widened window stay put until the next pop's `migrate_due`.
-    /// Deterministic: membership depends only on `(t, width, base)`,
-    /// which are identical across replays.
-    fn rebuild(&mut self, n_new: usize, span_exp: i32) {
-        debug_assert!(n_new.is_power_of_two() && (MIN_BUCKETS..=MAX_BUCKETS).contains(&n_new));
-        let cursor_time = self.base as f64 * self.width;
-        let mut pending: Vec<Scheduled> = Vec::with_capacity(self.in_wheel);
-        for (slot, &n) in self.lens.iter().enumerate() {
-            pending.extend_from_slice(&self.slots[slot][..n as usize]);
-        }
-        pending.extend(std::mem::take(&mut self.wheel_spill).into_vec());
-        if n_new == self.n_buckets() {
-            self.lens.fill(0);
-            self.live.fill(0);
-            self.multi.fill(0);
-        } else {
-            self.lens = vec![0u8; n_new];
-            self.slots = vec![[VACANT; SLOT_CAP]; n_new];
-            self.live = vec![0u64; n_new.div_ceil(64)];
-            self.multi = vec![0u64; n_new.div_ceil(64)];
-        }
-        self.mask = n_new - 1;
-        self.span_exp = span_exp;
-        self.width = pow2(span_exp) / n_new as f64;
-        self.inv_width = n_new as f64 / pow2(span_exp);
-        self.base = (cursor_time * self.inv_width) as u64;
-        self.in_wheel = 0;
-        for s in pending {
-            self.insert(s);
-        }
-    }
-}
-
-/// Deterministic event queue: the calendar, the monitor lane, and the
-/// sequence numbers, clock floor and pending count the engine needs
-/// around them.
+/// Deterministic event queue: the heap, the monitor lane, and the
+/// sequence numbers and clock floor the engine needs around them.
 #[derive(Debug)]
 pub struct EventQueue {
-    cal: Calendar,
+    /// Every pending event outside the lane; its top is their
+    /// `(time, seq)` minimum.
+    heap: BinaryHeap<Scheduled>,
     /// The monitor lane: [`schedule_monitor`](Self::schedule_monitor)
     /// pushes in nondecreasing time order, so a FIFO holds them in
     /// `(time, seq)` order and its front is its minimum. A push that
-    /// would break the order goes to the calendar instead.
+    /// would break the order goes to the heap instead.
     lane: VecDeque<Scheduled>,
-    /// The calendar's `(time, seq)` minimum while it is known, so a run
-    /// of lane pops compares against it without touching the calendar.
-    /// A calendar push lowers it, a calendar pop forgets it; `None`
-    /// means "not known", and the next pop that needs it peeks.
-    cal_min: Option<Scheduled>,
-    len: usize,
     /// The number the next pushed event gets (its key is
     /// `2 * next_seq + 1`).
     next_seq: u64,
@@ -802,30 +304,18 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty calendar queue.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar queue pre-sized for roughly `hint`
-    /// concurrently pending events (e.g. servers + live VMs).
-    ///
-    /// The hint sizes the *overflow* heap: in a long simulation the
-    /// bulk of the pending population is far-future departures and
-    /// repairs that sit beyond the wheel's window. The wheel itself
-    /// starts at `MIN_BUCKETS` over `2^INITIAL_SPAN_EXP` seconds,
-    /// doubles while a burst outgrows it, and from the first retune
-    /// on takes its span and bucket count from the measured traffic,
-    /// in both directions. A retune window counts calendar pushes only,
-    /// and the monitor chains push to the lane, so the first retune can
-    /// come late: the 8,192-bucket ring the 5k-server t = 0 burst grows
-    /// lasts until t = 48,907 s on the 48 h run (seed 1).
+    /// Creates an empty queue whose heap is pre-sized for roughly
+    /// `hint` concurrently pending events (e.g. servers + live VMs).
+    /// The monitor lane grows to the number of powered servers.
     pub fn with_capacity(hint: usize) -> Self {
         EventQueue {
-            cal: Calendar::new(hint),
+            heap: BinaryHeap::with_capacity(hint),
             lane: VecDeque::new(),
-            cal_min: None,
-            len: 0,
             next_seq: 0,
             now_floor: 0.0,
             last_pop: None,
@@ -847,24 +337,7 @@ impl EventQueue {
     fn stamp(&mut self, t_secs: f64, event: Event) -> Scheduled {
         let seq = 2 * self.next_seq + 1;
         self.next_seq += 1;
-        self.len += 1;
         Scheduled { t_secs, seq, event }
-    }
-
-    #[inline]
-    fn push(&mut self, t_secs: f64, event: Event) {
-        let s = self.stamp(t_secs, event);
-        self.push_calendar(s);
-    }
-
-    /// Files `s` in the calendar, lowering the cached calendar minimum
-    /// if `s` now heads it.
-    #[inline]
-    fn push_calendar(&mut self, s: Scheduled) {
-        if self.cal_min.is_some_and(|m| earlier(&s, &m)) {
-            self.cal_min = Some(s);
-        }
-        self.cal.push(s);
     }
 
     /// Schedules `event` at absolute time `t_secs`.
@@ -883,25 +356,14 @@ impl EventQueue {
             t_secs >= 0.0,
             "cannot schedule {event:?} at negative time {t_secs}"
         );
-        debug_assert!(
-            t_secs >= self.now_floor,
-            "cannot schedule {event:?} at {t_secs}, before current simulation time {}",
-            self.now_floor
-        );
-        self.push(t_secs, event);
-        // Grow outside the per-bucket fast path: chains re-add what
-        // they popped and never trip this, so only net growth (spawn
-        // bursts, exchange fan-out) pays the check.
-        self.cal.grow_if_loaded();
+        self.schedule_chain(t_secs, event);
     }
 
     /// Fast-path `schedule` for the per-tick self-rescheduling chains
     /// (MonitorTick, DemandUpdate): the caller guarantees `t_secs` is
     /// finite and not in the past — both hold trivially for
     /// `now + fixed_period` — so release builds skip the finiteness
-    /// assert and the wheel-growth check (a chain re-adds the event it
-    /// just popped, so the population cannot have grown). Debug builds
-    /// still verify everything `schedule` does.
+    /// assert. Debug builds still verify everything `schedule` does.
     #[inline]
     pub fn schedule_chain(&mut self, t_secs: f64, event: Event) {
         debug_assert!(t_secs.is_finite(), "cannot schedule event at {t_secs}");
@@ -910,16 +372,17 @@ impl EventQueue {
             "cannot schedule {event:?} at {t_secs}, before current simulation time {}",
             self.now_floor
         );
-        self.push(t_secs, event);
+        let s = self.stamp(t_secs, event);
+        self.heap.push(s);
     }
 
     /// [`schedule_chain`](Self::schedule_chain) for the monitor chains:
     /// files `event` in the monitor lane when `t_secs` is not before
-    /// the lane's last entry, and in the calendar otherwise. Every
-    /// re-push of a monitor chain is at `now + monitor_interval`, and
-    /// `now` never decreases, so these pushes arrive sorted and the
-    /// calendar fallback only keeps the lane a FIFO whatever the
-    /// caller does. Same caller guarantees as `schedule_chain`.
+    /// the lane's last entry, and in the heap otherwise. Every re-push
+    /// of a monitor chain is at `now + monitor_interval`, and `now`
+    /// never decreases, so these pushes arrive sorted and the heap
+    /// fallback only keeps the lane a FIFO whatever the caller does.
+    /// Same caller guarantees as `schedule_chain`.
     #[inline]
     pub fn schedule_monitor(&mut self, t_secs: f64, event: Event) {
         debug_assert!(t_secs.is_finite(), "cannot schedule event at {t_secs}");
@@ -932,7 +395,7 @@ impl EventQueue {
         if self.lane.back().is_none_or(|last| last.t_secs <= t_secs) {
             self.lane.push_back(s);
         } else {
-            self.push_calendar(s);
+            self.heap.push(s);
         }
     }
 
@@ -941,7 +404,7 @@ impl EventQueue {
     /// below `watermark` and before every event numbered `watermark` or
     /// later. Draws no number, because the unparked tick it stands for
     /// was numbered when its chain's previous tick popped. Goes to the
-    /// calendar, since its key may order before the lane's back.
+    /// heap, since its key may order before the lane's back.
     pub(crate) fn schedule_rearmed(&mut self, t_secs: f64, watermark: u64, server: ServerId) {
         debug_assert!(
             watermark <= self.next_seq,
@@ -957,42 +420,26 @@ impl EventQueue {
             "re-armed tick {s:?} is not after the last pop {:?}",
             self.last_pop
         );
-        self.len += 1;
-        self.push_calendar(s);
-        self.cal.grow_if_loaded();
+        self.heap.push(s);
     }
 
     /// Removes and returns the earliest event as `(time, event)`: the
-    /// lane's front or the calendar's minimum, whichever is first by
+    /// lane's front or the heap's top, whichever is first by
     /// `(time, seq)`.
     ///
     /// # Panics
     /// Debug builds enforce the pop half of the pop-order law: each
     /// pop's `(time, seq)` is strictly after the previous pop's.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        let from_lane = match self.lane.front() {
-            None => false,
-            Some(&front) => {
-                if self.cal_min.is_none() {
-                    self.cal_min = self.cal.peek();
-                }
-                self.cal_min.is_none_or(|m| earlier(&front, &m))
-            }
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(front), Some(top)) => earlier(front, top),
+            (front, _) => front.is_some(),
         };
         let s = if from_lane {
             self.lane.pop_front()
         } else {
-            let cached = self.cal_min.take();
-            let s = self.cal.pop();
-            debug_assert!(
-                cached.is_none_or(|m| s.is_some_and(|s| s.seq == m.seq)),
-                "calendar popped {s:?}, not its cached minimum {cached:?}"
-            );
-            s
+            self.heap.pop()
         }?;
-        self.cal.now = s.t_secs;
-        self.cal.popped = true;
-        self.len -= 1;
         #[cfg(debug_assertions)]
         self.assert_after_last_pop(&s);
         self.last_pop = Some(s);
@@ -1133,42 +580,39 @@ impl EventQueue {
     }
 
     /// The finish half of the pop-order law: no pending event lies
-    /// before the last pop, and the calendar stores exactly
-    /// [`len`](Self::len) events. With the pop half, this makes every
-    /// pop of the run the minimum of the pending set (the argument is
-    /// in `DESIGN.md` §14).
+    /// before the last pop. With the pop half, this makes every pop of
+    /// the run the minimum of the pending set (the argument is in
+    /// `DESIGN.md` §14).
     ///
     /// # Panics
-    /// When either condition fails.
+    /// When a pending event lies before the last pop.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_pop_order_law(&self) {
         for s in self.entries() {
             self.assert_after_last_pop(s);
         }
-        let stored = self.entries().count();
-        assert_eq!(stored, self.len, "pop-order law broken: stored count");
     }
 
     /// Every pending event in either store, unordered.
     fn entries(&self) -> impl Iterator<Item = &Scheduled> {
-        self.cal.entries().chain(self.lane.iter())
+        self.heap.iter().chain(self.lane.iter())
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.lane.len()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// The pending events that `keep` selects, sorted by `(time, seq)`
     /// — the canonical form: two queues with the same pending set
     /// produce the same bytes regardless of which store holds an event
-    /// and of how their wheels, spill heaps, or cursors currently lay
-    /// the events out, which is what makes re-snapshot byte-equality
+    /// and of how the heap currently lays the events out, which is
+    /// what makes re-snapshot byte-equality
     /// (the restore oracle) hold. Sequence numbers are unique, so an
     /// unstable sort, in place and with no scratch buffer, gives the
     /// one order.
@@ -1195,21 +639,16 @@ impl EventQueue {
 
     /// Files one captured entry, keeping its original sequence number
     /// (re-assigning them would reorder simultaneous events). Pop
-    /// order depends only on the `(time, seq)` total order — proven
-    /// pop-for-pop identical to [`ReferenceHeap`] — so the rebuilt
-    /// wheel's cursor starting at zero instead of the original's
-    /// advanced position, its default geometry until the first retune,
-    /// and every entry landing in the calendar (the lane refills as the
-    /// restored chains tick) are invisible.
+    /// order depends only on the `(time, seq)` total order, so every
+    /// entry landing in the heap (the lane refills as the restored
+    /// chains tick) is invisible.
     pub(crate) fn restore_entry(&mut self, t_secs: f64, seq: u64, event: Event) {
         debug_assert!(
             seq <= 2 * self.next_seq,
             "entry key {seq} was not issued before next_seq {}",
             self.next_seq
         );
-        self.cal.insert(Scheduled { t_secs, seq, event });
-        self.cal.grow_if_loaded();
-        self.len += 1;
+        self.heap.push(Scheduled { t_secs, seq, event });
     }
 
     /// Rebuilds a queue from parts captured with
@@ -1303,38 +742,38 @@ impl EventQueue {
     }
 
     /// Files `event` at `t_secs` with the next sequence number straight
-    /// into the calendar, past `schedule`'s checks — the shape of a
-    /// queue bug that stores an event behind the cursor.
+    /// into the heap, past `schedule`'s checks — the shape of a queue
+    /// bug that stores an event behind the last pop.
     #[cfg(all(test, debug_assertions))]
     pub(crate) fn insert_unchecked(&mut self, t_secs: f64, event: Event) {
-        let seq = 2 * self.next_seq + 1;
-        self.next_seq += 1;
-        self.len += 1;
-        self.cal.insert(Scheduled { t_secs, seq, event });
+        let s = self.stamp(t_secs, event);
+        self.heap.push(s);
     }
 }
 
-/// The plain binary heap the calendar replaced, kept outside the
-/// engine as the oracle of the equivalence tests and the baseline of
-/// `event_loop_snapshot`. It numbers events and orders them exactly as
-/// [`EventQueue`] does, so the same schedule calls give the same pops.
+/// A plain binary heap with no monitor lane, no re-armed keys and no
+/// checks: the oracle of the equivalence tests. It numbers events and
+/// orders them exactly as [`EventQueue`] does, so the same schedule
+/// calls give the same pops.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct ReferenceHeap {
+pub(crate) struct ReferenceHeap {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
 }
 
+#[cfg(test)]
 impl ReferenceHeap {
     /// Schedules `event` at absolute time `t_secs`. Unchecked: an
-    /// oracle is fed what the calendar under test accepted.
-    pub fn schedule(&mut self, t_secs: f64, event: Event) {
+    /// oracle is fed what the queue under test accepted.
+    pub(crate) fn schedule(&mut self, t_secs: f64, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { t_secs, seq, event });
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
-    pub fn pop(&mut self) -> Option<(f64, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|s| (s.t_secs, s.event))
     }
 }
@@ -1394,9 +833,9 @@ mod tests {
         }
     }
 
-    /// The calendar stays in cache because its entries stay small:
-    /// growing `Event` (or `Scheduled`) silently doubles the wheel's
-    /// footprint, so budge these only deliberately.
+    /// The heap stays in cache because its entries stay small: growing
+    /// `Event` (or `Scheduled`) silently doubles the queue's footprint,
+    /// so budge these only deliberately.
     #[test]
     fn event_fits_two_words() {
         assert!(
@@ -1493,9 +932,8 @@ mod tests {
 
     #[test]
     fn events_exactly_on_bucket_edges_pop_in_order() {
-        // A fresh queue's bucket width divides its span exactly, so
-        // integer multiples of it land exactly on bucket boundaries.
-        let width = pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64;
+        // Whole multiples of a power-of-two step, pushed in reverse.
+        let width = 8.0;
         let mut q = EventQueue::new();
         for i in (0..40).rev() {
             q.schedule(i as f64 * width, Event::Spawn(i));
@@ -1516,9 +954,8 @@ mod tests {
     #[test]
     fn far_future_overflow_interleaves_correctly() {
         let mut q = EventQueue::new();
-        // A check far beyond any wheel span, a departure hours out
-        // (overflow), a repair 30 min out (overflow), and a tick chain
-        // inside the wheel.
+        // A check a day out, a departure hours out, a repair 30 min
+        // out, and a 300 s tick chain.
         q.schedule(1e5, Event::HibernateCheck(ServerId(3)));
         q.schedule(7200.0, Event::Departure(VmId(1)));
         q.schedule(1800.0, Event::FaultRepair(ServerId(2)));
@@ -1552,12 +989,12 @@ mod tests {
 
     #[test]
     fn growth_preserves_order() {
-        // Push enough simultaneous-window events to force repeated
-        // doubling, then verify global pop order.
+        // Push enough events to make the heap grow several times,
+        // then verify global pop order.
         let mut q = EventQueue::with_capacity(0);
         let mut reference = ReferenceHeap::default();
         for i in 0..5000 {
-            // Spread across the wheel span with duplicates.
+            // Spread over 600 s with duplicates.
             let t = (i % 613) as f64 * 0.97;
             q.schedule(t, Event::Spawn(i));
             reference.schedule(t, Event::Spawn(i));
@@ -1572,7 +1009,7 @@ mod tests {
         }
     }
 
-    /// Restores `q`'s snapshot into a fresh calendar *and* a
+    /// Restores `q`'s snapshot into a fresh queue *and* a
     /// [`ReferenceHeap`] holding the same entries, checks canonical
     /// re-snapshot equality, then drains them in lockstep with the
     /// decoded queue — pop-for-pop identity is the contract checkpoint
@@ -1603,7 +1040,7 @@ mod tests {
 
         loop {
             let expect = q.pop();
-            assert_eq!(cal.pop(), expect, "restored calendar diverged");
+            assert_eq!(cal.pop(), expect, "restored queue diverged");
             assert_eq!(heap.pop(), expect, "restored heap diverged");
             assert_eq!(decoded.pop(), expect, "decoded queue diverged");
             if expect.is_none() {
@@ -1622,9 +1059,8 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_overflow_heap_events() {
-        // Departures and repairs hours past the 600 s wheel span live
-        // in the overflow heap; they must survive capture and still
-        // interleave correctly with wheel-resident events.
+        // Departures and repairs hours out must survive capture and
+        // still interleave correctly with near-term events.
         let mut q = EventQueue::new();
         q.schedule(25.0 * 3600.0, Event::Departure(VmId(7)));
         q.schedule(1800.0, Event::FaultRepair(ServerId(2)));
@@ -1636,25 +1072,21 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_multi_occupancy_buckets() {
-        // Many simultaneous events in the same bucket (beyond
-        // SLOT_CAP, forcing the spill heap) with interleaved seqs.
+        // Many simultaneous events at two times, with interleaved
+        // seqs.
         let mut q = EventQueue::new();
-        for i in 0..3 * SLOT_CAP as u32 {
+        for i in 0..12 {
             q.schedule(2.5, Event::HibernateCheck(ServerId(i)));
-            q.schedule(
-                2.5 + pow2(INITIAL_SPAN_EXP) / MIN_BUCKETS as f64,
-                Event::HibernateCheck(ServerId(1000 + i)),
-            );
+            q.schedule(10.5, Event::HibernateCheck(ServerId(1000 + i)));
         }
         assert_snapshot_roundtrips(q);
     }
 
     #[test]
     fn snapshot_roundtrip_mid_run_cursor_state() {
-        // Capture after pops have advanced the cursor and stragglers
-        // were clamped: the restored wheel starts from base 0 but must
-        // pop identically because order is a pure function of
-        // (time, seq).
+        // Capture after pops and a late push: the restored queue has
+        // never popped but must pop identically because order is a
+        // pure function of (time, seq).
         let mut q = EventQueue::new();
         for i in 0..50 {
             q.schedule(i as f64 * 37.0, Event::Departure(VmId(i)));
@@ -1664,8 +1096,8 @@ mod tests {
             let (t, _) = q.pop().expect("has events");
             q.advance_to(t);
         }
-        // A straggler at the (clamped) cursor bucket, just before the
-        // next pending spawn at 20 × 37 s.
+        // A straggler just before the next pending departure at
+        // 20 × 37 s.
         q.schedule(20.0 * 37.0 - 1.0, Event::MetricsSample);
         assert_snapshot_roundtrips(q);
     }
@@ -1863,11 +1295,6 @@ mod tests {
         }
     }
 
-    /// `(n_buckets, span_exp)` of the queue's calendar.
-    fn geometry(q: &EventQueue) -> (usize, i32) {
-        (q.cal.n_buckets(), q.cal.span_exp)
-    }
-
     /// `n` monitor chains with the engine's stagger: offsets evenly
     /// spread over one `period`.
     fn staggered_ticks(n: u32, period: f64) -> impl Iterator<Item = (f64, Event)> {
@@ -1917,81 +1344,41 @@ mod tests {
     /// Pop-for-pop identity with the reference heap on engine-shaped
     /// traffic — a t = 0 spawn burst, a few hundred staggered 5 s
     /// chains, 300 s and 1800 s chains, far-future standing departures
-    /// — across many retunes, plus a checkpoint round trip taken after
-    /// a retune that must keep popping exactly like the straight queue.
+    /// — plus a checkpoint round trip taken mid-run that must keep
+    /// popping exactly like the straight queue.
     #[test]
-    fn calendar_matches_reference_heap_across_retunes() {
-        let mut cal = EventQueue::with_capacity(4096);
+    fn queue_matches_reference_heap_on_engine_traffic() {
+        let mut q = EventQueue::with_capacity(4096);
         let mut heap = ReferenceHeap::default();
         let burst = (0..2000).map(|i| (0.0, Event::Spawn(i)));
         let sweeps = [(0.0, Event::MetricsSample), (300.0, Event::DemandUpdate)];
         for (t, e) in burst.chain(sweeps).chain(staggered_ticks(300, 5.0)) {
-            cal.schedule(t, e);
+            q.schedule(t, e);
             heap.schedule(t, e);
         }
         let mut rng = StdRng::seed_from_u64(41);
         let mut restored: Option<EventQueue> = None;
-        let mut geometries = vec![geometry(&cal)];
-        for _ in 0..400_000 {
-            let popped = cal.pop();
+        for n in 0..400_000 {
+            let popped = q.pop();
             assert_eq!(popped, heap.pop());
             if let Some(r) = restored.as_mut() {
                 assert_eq!(r.pop(), popped, "restored queue diverged");
             }
             let (t, e) = popped.expect("chains never drain");
             let pushes = engine_step(&mut rng, t, e);
-            apply(&mut cal, t, &pushes);
+            apply(&mut q, t, &pushes);
             for &(at, e, _) in &pushes {
                 heap.schedule(at, e);
             }
             if let Some(r) = restored.as_mut() {
                 apply(r, t, &pushes);
             }
-            if geometries.last() != Some(&geometry(&cal)) {
-                geometries.push(geometry(&cal));
-                if geometries.len() == 3 && restored.is_none() {
-                    let (entries, next_seq, now_floor) = cal.snapshot_parts();
-                    restored = Some(EventQueue::restore_parts(&entries, next_seq, now_floor));
-                }
+            if n == 100_000 {
+                let (entries, next_seq, now_floor) = q.snapshot_parts();
+                restored = Some(EventQueue::restore_parts(&entries, next_seq, now_floor));
             }
         }
         assert!(restored.is_some());
-        assert!(
-            geometries.len() >= 4,
-            "expected several retunes, saw {geometries:?}"
-        );
-        // The ring shrank after the burst drained and settled on a
-        // span that holds the 5 s chains.
-        let (n, span_exp) = geometry(&cal);
-        assert!(n < geometries.iter().map(|g| g.0).max().unwrap_or(0));
-        assert!(
-            pow2(span_exp) >= 5.0 && pow2(span_exp) < 64.0,
-            "span 2^{span_exp}"
-        );
-    }
-
-    /// A steady 5 s chain lands in its own buckets once the calendar
-    /// has measured it: after the first retune the spill heap stays
-    /// empty. (A fixed 600 s span put a few hundred such ticks into a
-    /// handful of buckets and spilled most of them.)
-    #[test]
-    fn steady_chain_never_spills_after_first_retune() {
-        let mut q = EventQueue::new();
-        for (t, e) in staggered_ticks(300, 5.0) {
-            q.schedule(t, e);
-        }
-        for _ in 0..RETUNE_WINDOW {
-            let (t, e) = q.pop().expect("chain");
-            q.advance_to(t);
-            q.schedule_chain(t + 5.0, e);
-        }
-        for _ in 0..100_000 {
-            let (t, e) = q.pop().expect("chain");
-            q.advance_to(t);
-            q.schedule_chain(t + 5.0, e);
-            assert!(q.cal.wheel_spill.is_empty(), "spill at t = {t}");
-        }
-        assert_eq!(pow2(q.cal.span_exp), 8.0);
     }
 
     /// [`engine_step`] with the engine's monitor parking: 1 % of the
@@ -1999,8 +1386,7 @@ mod tests {
     /// and then a tick's handling wakes the parked servers, restarting
     /// their chains through `schedule` at the first `anchor + k·5 s`
     /// after now (the engine's `resume_monitor`). Those restarts land
-    /// in the calendar ahead of its cached minimum, mid-run of lane
-    /// pops.
+    /// in the heap ahead of its top, mid-run of lane pops.
     fn lane_step(
         rng: &mut StdRng,
         parked: &mut Vec<(f64, Event)>,
@@ -2086,7 +1472,7 @@ mod tests {
                 apply_lane(r, t, &pushes);
             }
             if n == 150_000 {
-                assert!(!q.lane.is_empty() && q.cal.in_wheel + q.cal.overflow.len() > 0);
+                assert!(!q.lane.is_empty() && !q.heap.is_empty());
                 let (entries, next_seq, now_floor) = q.snapshot_parts();
                 restored = Some(EventQueue::restore_parts(&entries, next_seq, now_floor));
             }
@@ -2196,7 +1582,7 @@ mod tests {
     }
 
     /// A monitor push before the lane's last entry cannot join the
-    /// FIFO: it goes to the calendar and still pops in `(time, seq)`
+    /// FIFO: it goes to the heap and still pops in `(time, seq)`
     /// order with everything else.
     #[test]
     fn monitor_push_before_lane_back_falls_back_to_calendar() {
@@ -2215,12 +1601,8 @@ mod tests {
         }
         q.schedule(11.0, Event::DemandUpdate);
         heap.schedule(11.0, Event::DemandUpdate);
-        assert_eq!(
-            q.lane.len(),
-            3,
-            "the 11 s and 9 s ticks belong in the calendar"
-        );
-        assert_eq!(q.cal.entries().count(), 3);
+        assert_eq!(q.lane.len(), 3, "the 11 s and 9 s ticks belong in the heap");
+        assert_eq!(q.heap.len(), 3);
         assert_eq!(q.len(), 6);
         loop {
             let expect = heap.pop();
@@ -2230,35 +1612,5 @@ mod tests {
             }
         }
         assert!(q.is_empty());
-    }
-
-    /// Uniform 1–600 s hold traffic (the `event_loop_snapshot` hold
-    /// mix): after a retune at least 99 % of pending events sit in the
-    /// wheel, not in the overflow heap.
-    #[test]
-    fn hold_traffic_stays_wheel_resident_after_retune() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let mut q = EventQueue::new();
-        for i in 0..3000 {
-            q.schedule(
-                rng.gen_range(1.0f64..600.0),
-                Event::MonitorTick(ServerId(i)),
-            );
-        }
-        let initial = geometry(&q);
-        for i in 0..60_000 {
-            let (t, e) = q.pop().expect("hold");
-            q.advance_to(t);
-            q.schedule_chain(t + rng.gen_range(1.0f64..600.0), e);
-            if i >= RETUNE_WINDOW && i % 1000 == 0 {
-                assert!(
-                    q.cal.in_wheel * 100 >= 99 * q.len(),
-                    "{} of {} pending in the wheel",
-                    q.cal.in_wheel,
-                    q.len()
-                );
-            }
-        }
-        assert_ne!(geometry(&q), initial, "never retuned");
     }
 }

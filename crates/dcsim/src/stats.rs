@@ -593,7 +593,9 @@ pub struct SimSummary {
     pub vms_departed: u64,
     /// Spot VMs evicted under capacity pressure.
     pub vms_preempted: u64,
-    /// Events popped from the calendar over the whole run.
+    /// Model events over the whole run: every pop of the event queue,
+    /// plus the silent monitor ticks of parked chains, settled in
+    /// closed form.
     pub events_processed: u64,
     /// Control plane: invitations broadcast to individual servers.
     pub invitations_sent: u64,

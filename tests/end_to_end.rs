@@ -278,16 +278,16 @@ fn rejects_when_whole_fleet_is_saturated() {
     assert_eq!(res.final_powered, 3, "everything available must be on");
 }
 
-/// The calendar promises the reference heap's pop order: every pop is
-/// the `(time, seq)` minimum of the pending set. The queue-level
-/// oracle tests check that pop for pop against `ReferenceHeap`; this
-/// test checks it end to end through the pop-order law that every
-/// debug-assertion build enforces (each pop strictly after the last,
-/// nothing pending before the last pop at finish). It only exists in
-/// those builds, so it can never pass without the law running.
+/// The event queue promises that every pop is the `(time, seq)`
+/// minimum of the pending set. The queue-level oracle tests check that
+/// pop for pop against a plain heap; this test checks it end to end
+/// through the pop-order law that every debug-assertion build enforces
+/// (each pop strictly after the last, nothing pending before the last
+/// pop at finish). It only exists in those builds, so it can never
+/// pass without the law running.
 #[cfg(debug_assertions)]
 #[test]
-fn calendar_queue_matches_reference_heap_engine() {
+fn engine_pops_obey_the_pop_order_law() {
     let seed = 42;
     let mut scenario = Scenario::closed_system(
         Fleet::thirds(800),
